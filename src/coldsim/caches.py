@@ -12,6 +12,7 @@ distinct instances from distinct threads if you need parallelism.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -166,7 +167,7 @@ class InstallCache:
 
     def lookup(self, packages: AbstractSet[str]) -> tuple[frozenset[str], frozenset[str]]:
         """Partition ``packages`` into (present, absent); hits move to most-recent."""
-        hits = frozenset(p for p in packages if p in self._packages)
+        hits = frozenset(self._packages.keys() & packages)
         for p in sorted(hits):
             self._packages.move_to_end(p)
         return hits, frozenset(packages) - hits
@@ -188,14 +189,16 @@ class InstallCache:
         return evicted
 
 
-@dataclass
+@dataclass(slots=True)
 class _ImportNode:
     node_id: int
     packages: frozenset[str]
     parent_id: int | None
     depth: int
     last_fork_ms: int
-    children: set[int]
+    # child ids, filed under the smallest package each adds to this node's set
+    children: dict[str, set[int]]
+    key_package: str | None = None  # where the parent files this node; None for the root
 
 
 class ImportCacheTree:
@@ -205,17 +208,24 @@ class ImportCacheTree:
     strictly extends its parent's set. Forks must come from a node whose set
     is a subset of the request, never a superset, so a process with
     extraneous imports is never reused.
+
+    Eviction candidates live in a heap of ``(last_fork_ms, -node_id)``
+    entries. An entry is pushed whenever a node becomes a leaf or a leaf's
+    fork time changes, and is stale once its node is gone, has children, or
+    has been forked from since; stale entries are dropped when they surface.
     """
 
     ROOT_ID = 0
+    HEAP_SLACK = 4  # rebuild the leaf heap beyond this many entries per node
 
     def __init__(self, max_nodes: int):
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
         self.max_nodes = max_nodes
-        root = _ImportNode(self.ROOT_ID, frozenset(), None, 0, 0, set())
+        root = _ImportNode(self.ROOT_ID, frozenset(), None, 0, 0, {})
         self._nodes: dict[int, _ImportNode] = {self.ROOT_ID: root}
         self._next_id = 1
+        self._leaf_heap: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -240,22 +250,36 @@ class ImportCacheTree:
 
         Ties prefer the deepest node, then the lowest node_id. Returns the
         node and the packages still missing from it.
+
+        A child's set contains its parent's, so a node fits only if its
+        parent does: the search descends from the root into fitting
+        children only. A child is filed under one package it adds, which a
+        fitting child's must be among ``required``, so only those files are
+        read.
         """
         required = frozenset(required)
-        best = None
-        for node in self._nodes.values():
-            if not node.packages <= required:
-                continue
-            rank = (len(node.packages), node.depth, -node.node_id)
-            if best is None or rank > best[0]:
-                best = (rank, node)
-        assert best is not None  # root always qualifies
-        chosen = best[1]
-        return chosen.node_id, required - chosen.packages
+        nodes = self._nodes
+        best = nodes[self.ROOT_ID]
+        best_rank = (0, 0, -self.ROOT_ID)
+        stack = [best]
+        while stack:
+            children = stack.pop().children
+            for package in required:
+                for child_id in children.get(package, ()):
+                    child = nodes[child_id]
+                    if child.packages <= required:
+                        stack.append(child)
+                        rank = (len(child.packages), child.depth, -child_id)
+                        if rank > best_rank:
+                            best, best_rank = child, rank
+        return best.node_id, required - best.packages
 
     def touch(self, node_id: int, now_ms: int) -> None:
         """Record a fork from ``node_id`` for eviction recency."""
-        self._nodes[node_id].last_fork_ms = now_ms
+        node = self._nodes[node_id]
+        node.last_fork_ms = now_ms
+        if not node.children:
+            self._push_leaf(node)
 
     def insert(self, parent_node_id: int, package_set: AbstractSet[str], now_ms: int) -> int:
         """Add a sleeping process under ``parent_node_id``.
@@ -268,24 +292,57 @@ class ImportCacheTree:
         package_set = frozenset(package_set)
         if not package_set > parent.packages:
             raise ValueError("import tree hierarchy violated")
-        node = _ImportNode(self._next_id, package_set, parent_node_id, parent.depth + 1, now_ms, set())
+        node = _ImportNode(
+            self._next_id,
+            package_set,
+            parent_node_id,
+            parent.depth + 1,
+            now_ms,
+            {},
+            min(package_set - parent.packages),
+        )
         self._next_id += 1
         self._nodes[node.node_id] = node
-        parent.children.add(node.node_id)
+        parent.children.setdefault(node.key_package, set()).add(node.node_id)
+        self._push_leaf(node)
         while len(self._nodes) > self.max_nodes:
             self._evict_one_leaf()
         return node.node_id
 
+    def _push_leaf(self, node: _ImportNode) -> None:
+        if node.node_id == self.ROOT_ID:
+            return
+        heap = self._leaf_heap
+        if len(heap) < self.HEAP_SLACK * self.max_nodes:
+            heapq.heappush(heap, (node.last_fork_ms, -node.node_id))
+            return
+        # mostly stale entries: rebuild from the current leaves, ``node`` included
+        heap[:] = [
+            (n.last_fork_ms, -n.node_id)
+            for n in self._nodes.values()
+            if not n.children and n.node_id != self.ROOT_ID
+        ]
+        heapq.heapify(heap)
+
     def _evict_one_leaf(self) -> None:
-        victim = min(
-            (n for n in self._nodes.values() if not n.children and n.node_id != self.ROOT_ID),
-            key=lambda n: (n.last_fork_ms, -n.node_id),
-        )
-        del self._nodes[victim.node_id]
-        self._nodes[victim.parent_id].children.discard(victim.node_id)
+        """Drop the leaf forked from longest ago, the highest id on ties."""
+        nodes = self._nodes
+        while True:
+            fork_ms, neg_id = heapq.heappop(self._leaf_heap)
+            victim = nodes.get(-neg_id)
+            if victim is not None and not victim.children and victim.last_fork_ms == fork_ms:
+                break
+        del nodes[victim.node_id]
+        parent = nodes[victim.parent_id]
+        siblings = parent.children[victim.key_package]
+        siblings.discard(victim.node_id)
+        if not siblings:
+            del parent.children[victim.key_package]
+        if not parent.children:
+            self._push_leaf(parent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CacheLookupResult:
     """Outcome of probing the three tiers for one request.
 
@@ -310,6 +367,9 @@ class CacheLookupResult:
             raise ValueError("tier package sets must be disjoint")
 
 
+_HANDLER_HIT = CacheLookupResult(Tier.HANDLER_HIT)
+
+
 def classify_request(
     profile: FunctionProfile,
     handler: HandlerCache,
@@ -320,9 +380,10 @@ def classify_request(
 
     Lookups carry their usual recency side effects; forking the chosen
     import node (``touch``) is left to the caller, which knows the fork time.
+    Every handler hit returns the same (immutable) result object.
     """
     if handler.lookup(profile.function_id):
-        return CacheLookupResult(Tier.HANDLER_HIT)
+        return _HANDLER_HIT
     deps = profile.dependencies
     if imports is not None:
         node_id, remaining = imports.best_node(deps)

@@ -21,7 +21,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
 from .caches import (
     HandlerCache,
@@ -85,6 +85,11 @@ class SimConfig:
 class Worker:
     """One simulated worker: private tier caches plus a FIFO request queue."""
 
+    __slots__ = (
+        "worker_id", "group_id", "handler", "install", "imports",
+        "busy_until_ms", "_inflight", "_completed_at",
+    )
+
     def __init__(self, worker_id: int, group_id: int, config: SimConfig):
         self.worker_id = worker_id
         self.group_id = group_id
@@ -98,17 +103,21 @@ class Worker:
         self._completed_at: dict[str, int] = {}
 
     def queue_len(self, now_ms: int) -> int:
-        """Requests assigned but not yet started at ``now_ms``."""
-        while self._inflight and self._inflight[0][1] <= now_ms:
-            self._inflight.popleft()
-        return sum(1 for start, _ in self._inflight if start > now_ms)
+        """Requests assigned but not yet started at ``now_ms``.
 
-    def holds_alive(self, function_id: str, now_ms: int, keep_alive_ms: int | None) -> bool:
-        if function_id not in self.handler:
-            return False
-        if keep_alive_ms is None:
-            return True
-        return now_ms - self._completed_at[function_id] <= keep_alive_ms
+        A worker runs its requests one at a time in FIFO order, so the
+        intervals in ``_inflight`` never overlap and their start times never
+        decrease: each starts no earlier than its predecessor completes.
+        Once the entries completed by ``now_ms`` are dropped, every entry
+        after the head starts after the head completes, hence after
+        ``now_ms``; only the head may already be running.
+        """
+        inflight = self._inflight
+        while inflight and inflight[0][1] <= now_ms:
+            inflight.popleft()
+        if not inflight:
+            return 0
+        return len(inflight) - (inflight[0][0] <= now_ms)
 
     def expire_handler(self, now_ms: int, keep_alive_ms: int | None) -> None:
         if keep_alive_ms is None:
@@ -128,8 +137,7 @@ class Worker:
         self._completed_at[function_id] = completion_ms
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
+class RequestOutcome(NamedTuple):
     timestamp_ms: int
     function_id: str
     worker_id: int
@@ -212,14 +220,23 @@ def _select_worker(
     policy: RoutingPolicy,
     keep_alive_ms: int | None,
 ) -> Worker:
+    """Route within a group; ``candidates`` must be in ascending worker id."""
     if policy is RoutingPolicy.HANDLER_AFFINITY:
-        held = [w for w in candidates if w.holds_alive(function_id, now_ms, keep_alive_ms)]
-        if held:
-            return min(held, key=lambda w: w.worker_id)
-    return min(
-        candidates,
-        key=lambda w: (w.queue_len(now_ms), w.busy_until_ms, w.worker_id),
-    )
+        # _completed_at has exactly the handler cache's keys; the first live
+        # holder is the lowest-id one
+        for w in candidates:
+            done = w._completed_at.get(function_id)
+            if done is not None and (keep_alive_ms is None or now_ms - done <= keep_alive_ms):
+                return w
+    # shortest queue, then earliest busy_until_ms; ties keep the lowest id
+    best = None
+    for w in candidates:
+        queued = w.queue_len(now_ms)
+        if best is None or queued < best_queued or (
+            queued == best_queued and w.busy_until_ms < best.busy_until_ms
+        ):
+            best, best_queued = w, queued
+    return best
 
 
 def route(
@@ -238,7 +255,7 @@ def route(
     group = partition.function_to_group().get(request.function_id)
     if group is None:
         raise ValueError(f"unpartitioned function {request.function_id!r}")
-    candidates = [w for w in workers if w.group_id == group]
+    candidates = sorted((w for w in workers if w.group_id == group), key=lambda w: w.worker_id)
     if not candidates:
         raise ValueError(f"no workers for group {group}")
     chosen = _select_worker(candidates, request.function_id, request.timestamp_ms, policy, keep_alive_ms)
@@ -266,50 +283,66 @@ def run(trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig) ->
             raise ValueError(f"duplicate function_id {p.function_id!r}")
         catalog[p.function_id] = p
     group_of = config.partition.function_to_group()
-    for fid in sorted(trace.function_ids()):
+    function_ids = sorted(trace.function_ids())
+    for fid in function_ids:
         if fid not in catalog:
             raise ValueError(f"no profile for function {fid!r}")
         if fid not in group_of:
             raise ValueError(f"unpartitioned function {fid!r}")
 
     by_group = build_workers(config)
+    # (profile, candidate workers, footprint) per function, looked up once
+    per_function = {
+        fid: (
+            catalog[fid],
+            by_group[group_of[fid]],
+            config.footprint_overrides.get(fid, config.footprint_bytes),
+        )
+        for fid in function_ids
+    }
     keep_alive = config.keep_alive_ms
+    policy = config.routing_policy
     model = config.latency_model
     shutdown_ms = model.shutdown_ms
+    package_size = config.package_size_bytes
+    # a breakdown depends only on these probe features, so equal ones are shared
+    breakdowns: dict[tuple, LatencyBreakdown] = {}
     outcomes = []
     for rec in trace.records:
-        profile = catalog[rec.function_id]
-        candidates = by_group[group_of[rec.function_id]]
-        worker = _select_worker(
-            candidates, rec.function_id, rec.timestamp_ms, config.routing_policy, keep_alive
-        )
-        start = max(rec.timestamp_ms, worker.busy_until_ms)
+        now, fid = rec
+        profile, candidates, footprint = per_function[fid]
+        worker = _select_worker(candidates, fid, now, policy, keep_alive)
+        start = max(now, worker.busy_until_ms)
         worker.expire_handler(start, keep_alive)
         probe = classify_request(profile, worker.handler, worker.install, worker.imports)
-        breakdown = init_latency(probe, profile, model)
-        completion = start + breakdown.total_ms + profile.exec_duration_ms
+        key = (probe.tier, len(probe.cold), len(probe.preinstalled), probe.forked_node_id is not None)
+        breakdown = breakdowns.get(key)
+        if breakdown is None:
+            breakdown = breakdowns[key] = init_latency(probe, profile, model)
+        exec_ms = profile.exec_duration_ms
+        completion = start + breakdown.total_ms + exec_ms
         worker.begin(start, completion)
-        footprint = config.footprint_overrides.get(rec.function_id, config.footprint_bytes)
-        worker.note_completion(rec.function_id, footprint, completion)
+        worker.note_completion(fid, footprint, completion)
         if probe.tier is not Tier.HANDLER_HIT:
             for pkg in sorted(probe.cold):
-                worker.install.insert(pkg, config.package_size_bytes)
-            if worker.imports is not None and probe.forked_node_id is not None:
-                worker.imports.touch(probe.forked_node_id, start)
-                if profile.dependencies > worker.imports.packages(probe.forked_node_id):
-                    worker.imports.insert(probe.forked_node_id, profile.dependencies, start)
+                worker.install.insert(pkg, package_size)
+            imports = worker.imports
+            if imports is not None and probe.forked_node_id is not None:
+                imports.touch(probe.forked_node_id, start)
+                if profile.dependencies > imports.packages(probe.forked_node_id):
+                    imports.insert(probe.forked_node_id, profile.dependencies, start)
         outcomes.append(
             RequestOutcome(
-                timestamp_ms=rec.timestamp_ms,
-                function_id=rec.function_id,
+                timestamp_ms=now,
+                function_id=fid,
                 worker_id=worker.worker_id,
                 tier=probe.tier,
                 breakdown=breakdown,
-                exec_ms=profile.exec_duration_ms,
+                exec_ms=exec_ms,
                 shutdown_ms=shutdown_ms,
                 start_ms=start,
                 completion_ms=completion,
-                total_ms=breakdown.total_ms + profile.exec_duration_ms + shutdown_ms,
+                total_ms=breakdown.total_ms + exec_ms + shutdown_ms,
             )
         )
     return SimResult.from_outcomes(outcomes)

@@ -93,3 +93,57 @@ def best_import_node(nodes, required: frozenset):
             best = (rank, node_id)
     assert best is not None, "the root always qualifies"
     return best[1]
+
+
+class ReferenceQueue:
+    """A worker's in-flight requests, counted by a full scan of the queue."""
+
+    def __init__(self):
+        self.inflight: list[tuple[int, int]] = []  # (start, completion)
+
+    def begin(self, start_ms: int, completion_ms: int) -> None:
+        self.inflight.append((start_ms, completion_ms))
+
+    def queue_len(self, now_ms: int) -> int:
+        while self.inflight and self.inflight[0][1] <= now_ms:
+            self.inflight.pop(0)
+        return sum(1 for start, _ in self.inflight if start > now_ms)
+
+
+class ReferenceImportTree:
+    """Import tree kept as a flat node table; every operation scans it all.
+
+    Eviction takes the minimum of ``(last_fork_ms, -node_id)`` over the
+    non-root leaves; ``best_node`` applies ``best_import_node`` to every node.
+    """
+
+    ROOT_ID = 0
+
+    def __init__(self, max_nodes: int):
+        self.max_nodes = max_nodes
+        # node_id -> [packages, parent_id, depth, last_fork_ms]
+        self.nodes = {self.ROOT_ID: [frozenset(), None, 0, 0]}
+        self.next_id = 1
+
+    def best_node(self, required: frozenset):
+        node_id = best_import_node(
+            ((n, packages, depth) for n, (packages, _, depth, _) in self.nodes.items()),
+            required,
+        )
+        return node_id, required - self.nodes[node_id][0]
+
+    def touch(self, node_id: int, now_ms: int) -> None:
+        self.nodes[node_id][3] = now_ms
+
+    def insert(self, parent_id: int, packages: frozenset, now_ms: int) -> int:
+        parent_packages, _, parent_depth, _ = self.nodes[parent_id]
+        if not packages > parent_packages:
+            raise ValueError("import tree hierarchy violated")
+        node_id = self.next_id
+        self.next_id += 1
+        self.nodes[node_id] = [packages, parent_id, parent_depth + 1, now_ms]
+        while len(self.nodes) > self.max_nodes:
+            parents = {parent for _, parent, _, _ in self.nodes.values()}
+            leaves = [n for n in self.nodes if n != self.ROOT_ID and n not in parents]
+            del self.nodes[min(leaves, key=lambda n: (self.nodes[n][3], -n))]
+        return node_id

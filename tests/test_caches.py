@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldsim.caches import (
@@ -17,7 +17,7 @@ from coldsim.caches import (
 from coldsim.traces import FunctionProfile
 
 from conftest import REPO_ROOT
-from reference import ReferenceLRU, best_import_node
+from reference import ReferenceImportTree, ReferenceLRU, best_import_node
 
 MB = 1024 * 1024
 FIG1 = LatencyModel.fig1_calibration()
@@ -232,6 +232,46 @@ def test_import_tree_invariants_after_random_ops():
             parent_id = tree.parent(node_id)
             if parent_id is not None:
                 assert tree.packages(node_id) > tree.packages(parent_id)
+
+
+_TREE_OPS = st.tuples(
+    # touches outnumber inserts so that stale heap entries pile up and force rebuilds
+    st.sampled_from(["insert", "touch", "touch", "touch", "best_node"]),
+    st.integers(0, 1000),  # picks one of the current nodes
+    st.frozensets(st.sampled_from("abcdef"), max_size=3),
+    st.integers(0, 12),  # a narrow time range makes fork times tie and go back
+)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.lists(_TREE_OPS, min_size=60, max_size=200))
+def test_import_tree_matches_brute_force_oracle(max_nodes, ops):
+    tree = ImportCacheTree(max_nodes)
+    oracle = ReferenceImportTree(max_nodes)
+    for kind, pick, packages, now in ops:
+        node_ids = tree.node_ids()
+        node_id = node_ids[pick % len(node_ids)]
+        extended = tree.packages(node_id) | packages
+        if kind == "insert":
+            if extended == tree.packages(node_id):
+                with pytest.raises(ValueError):
+                    tree.insert(node_id, extended, now)
+                with pytest.raises(ValueError):
+                    oracle.insert(node_id, extended, now)
+            else:
+                assert tree.insert(node_id, extended, now) == oracle.insert(node_id, extended, now)
+        elif kind == "touch":
+            tree.touch(node_id, now)
+            oracle.touch(node_id, now)
+        else:
+            # queries around an existing node reach deep nodes as well as the root
+            assert tree.best_node(extended) == oracle.best_node(extended)
+            assert tree.best_node(packages) == oracle.best_node(packages)
+        assert tree.node_ids() == sorted(oracle.nodes)
+        for n in tree.node_ids():
+            assert [tree.packages(n), tree.parent(n)] == oracle.nodes[n][:2]
+        # stale eviction entries are rebuilt away instead of piling up
+        assert len(tree._leaf_heap) <= ImportCacheTree.HEAP_SLACK * max_nodes
 
 
 # --- classification -----------------------------------------------------------

@@ -1,0 +1,69 @@
+"""Byte-identity guard for the simulation's outputs.
+
+A small seeded synthetic workload is simulated under several configurations
+and the SHA-256 of the result JSON and of the per-request CSV is pinned.
+The digests were computed with the straightforward implementation (full
+queue rescans, whole-tree import scans), so any optimisation of ``run`` or
+of the cache tiers must reproduce its outputs exactly.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from coldsim.locality import partition_round_robin
+from coldsim.sim import RoutingPolicy, SimConfig, run, write_per_request_csv
+from coldsim.traces import (
+    SyntheticTraceSpec,
+    generate_synthetic,
+    request_counts,
+    synthesize_profiles,
+)
+
+MIB = 1024**2
+
+
+@pytest.fixture(scope="module")
+def workload():
+    trace = generate_synthetic(SyntheticTraceSpec(300, 20_000, 1.1, 3_600_000, 7))
+    profiles = synthesize_profiles(trace, catalog_size=40, deps_per_function=(0, 5), seed=7)
+    partition = partition_round_robin(profiles, 3, 9, request_counts(trace))
+    return trace, profiles, partition
+
+
+CASES = {
+    "affinity-keepalive": (
+        dict(routing_policy=RoutingPolicy.HANDLER_AFFINITY, keep_alive_ms=20_000),
+        "e9f4838f212303d09e5b0a54225325e17dc2a426b8f389d2b3221f4bd7ececf7",
+        "ae5dd03524b34144f91d07f4a6306f80f47c5c45602f6f4b3b60ea87facbb427",
+    ),
+    "affinity-no-expiry": (
+        dict(routing_policy=RoutingPolicy.HANDLER_AFFINITY, keep_alive_ms=None),
+        "53ca01b6043f68fb10d8cfb585991b17aa0dc698a5ecee1ccc35140cdf762302",
+        "721f089c619318d7fb0929a8d677548c301eed98b73ab327d0f462188dbe0d42",
+    ),
+    "least-loaded-no-expiry": (
+        dict(routing_policy=RoutingPolicy.LEAST_LOADED, keep_alive_ms=None),
+        "f95c800082afe76e326f03dd1cd6000e75cbbff2c0bb4bc35b7d2407cf23371a",
+        "2c5116a4bb9a29da2343b8f0a216979cca6fa894e9ff4722fd8dff99c938c0c3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_simulation_outputs_are_byte_identical(workload, case):
+    trace, profiles, partition = workload
+    overrides, json_digest, csv_digest = CASES[case]
+    config = SimConfig(
+        partition=partition,
+        import_max_nodes=8,
+        install_capacity_bytes=200 * MIB,
+        footprint_overrides={"f0000": 512 * MIB},
+        **overrides,
+    )
+    result = run(trace, profiles, config)
+    buffer = io.StringIO()
+    write_per_request_csv(result, buffer)
+    assert hashlib.sha256(result.to_json().encode()).hexdigest() == json_digest
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == csv_digest

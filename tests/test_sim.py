@@ -2,6 +2,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coldsim.locality import LocalityGroup, Partition, partition_round_robin
 from coldsim.sim import (
@@ -18,7 +20,7 @@ from coldsim.sim import (
 from coldsim.caches import Tier
 from coldsim.traces import FunctionProfile, RequestRecord, Trace
 
-from reference import reference_lru_hit_rate, reference_lru_hits
+from reference import ReferenceQueue, reference_lru_hit_rate, reference_lru_hits
 
 GIB = 1024**3
 MIB = 1024**2
@@ -173,6 +175,24 @@ def test_run_validates_profiles_and_partition():
     other = make_profile("ghost")
     with pytest.raises(ValueError, match="unpartitioned function 'ghost'"):
         run(make_trace((0, "ghost")), [prof, other], config)
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4)), max_size=80))
+def test_queue_len_matches_full_scan_oracle(steps):
+    _, config = single_worker_setup()
+    worker = build_workers(config)[0][0]
+    oracle = ReferenceQueue()
+    now = busy_until = 0
+    for is_begin, a, b in steps:
+        if is_begin:
+            # FIFO on one worker: a request starts no earlier than the last one completes
+            start = busy_until + a
+            busy_until = start + b
+            worker.begin(start, busy_until)
+            oracle.begin(start, busy_until)
+        else:
+            now += a
+            assert worker.queue_len(now) == oracle.queue_len(now)
 
 
 # --- routing ------------------------------------------------------------------

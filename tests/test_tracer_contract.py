@@ -1,0 +1,78 @@
+"""The benchmark's layer tracer must still find every attribute it patches.
+
+``perfbench/tracer.py`` wraps named functions and methods of ``coldsim``
+from outside. Renaming or moving one of them, or calling it under another
+name, breaks traced benchmark runs; these tests make that fail here too.
+"""
+
+import importlib.util
+
+import pytest
+
+from coldsim import caches, cli, sim
+
+from conftest import REPO_ROOT
+
+
+@pytest.fixture
+def tracer_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls(tracer_module):
+    patched = {
+        (sim, "classify_request"): sim.classify_request,
+        (sim, "init_latency"): sim.init_latency,
+        (caches.ImportCacheTree, "best_node"): caches.ImportCacheTree.best_node,
+        (sim.Worker, "queue_len"): sim.Worker.queue_len,
+        (cli, "run"): cli.run,
+    }
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    try:
+        for (owner, attr), original in patched.items():
+            assert getattr(owner, attr) is not original, attr
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in patched.items():
+        assert getattr(owner, attr) is original, attr
+
+
+def test_traced_simulation_reaches_every_per_request_layer(tracer_module, tmp_path):
+    trace, profiles = tmp_path / "trace.csv", tmp_path / "profiles.csv"
+    partition, result = tmp_path / "partition.json", tmp_path / "result.json"
+    assert cli.main([
+        "generate", "--quiet", "--functions", "40", "--requests", "2000",
+        "--duration", "600000", "--seed", "3",
+        "--out", str(trace), "--profiles-out", str(profiles),
+    ]) == 0
+    assert cli.main([
+        "partition", str(profiles), str(trace), "--quiet", "--strategy", "round_robin",
+        "--groups-per-runtime", "2", "--workers", "4", "--out", str(partition),
+    ]) == 0
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    try:
+        assert cli.main([
+            "simulate", str(trace), str(profiles), str(partition), "--quiet",
+            "--out", str(result),
+        ]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.span_count("sim.run") == 1
+    for name in (
+        "caches.classify_request",
+        "caches.init_latency",
+        "caches.best_node",
+        "caches.import_insert",
+        "caches.handler_insert",
+        "caches.install_insert",
+        "sim.queue_len",
+        "sim.expire_handler",
+    ):
+        assert tracer.calls[name][0] > 0, name
