@@ -20,7 +20,6 @@ from .locality import (
     DependencyGraph,
     LocalityGroup,
     Partition,
-    RebalanceConfig,
     allocate_workers,
     build_dependency_graph,
     partition_clustered,
@@ -42,7 +41,6 @@ from .sim import (
     RoutingPolicy,
     SimConfig,
     SimResult,
-    route,
     run,
     simple_lru_hit_rate,
     sweep_cache_sizes,
@@ -59,7 +57,6 @@ __all__ = [
     "LatencyModel",
     "LocalityGroup",
     "Partition",
-    "RebalanceConfig",
     "RequestRecord",
     "RoutingPolicy",
     "SimConfig",
@@ -80,7 +77,6 @@ __all__ = [
     "popularity_cdf",
     "rebalance",
     "request_counts",
-    "route",
     "run",
     "simple_lru_hit_rate",
     "sweep_cache_sizes",

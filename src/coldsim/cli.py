@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .caches import LatencyModel
@@ -202,21 +201,11 @@ def cmd_partition(args) -> int:
     return _finish(args, "partition", parameters, [args.profiles, args.trace], outputs)
 
 
-_SIM_CONFIG_KEYS = {
-    "handler_capacity_bytes",
-    "install_capacity_bytes",
-    "import_max_nodes",
-    "keep_alive_ms",
-    "latency_model",
-    "latency_model_path",
-    "routing_policy",
-    "footprint_bytes",
-    "footprint_overrides",
-    "package_size_bytes",
-}
+# the partition comes from its own file; a latency model may come from a path
+_SIM_CONFIG_KEYS = ({f.name for f in fields(SimConfig)} - {"partition"}) | {"latency_model_path"}
 
 
-def _build_sim_config(partition: Partition, payload: dict, seed: int) -> SimConfig:
+def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
     unknown = set(payload) - _SIM_CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
@@ -233,7 +222,7 @@ def _build_sim_config(partition: Partition, payload: dict, seed: int) -> SimConf
     else:
         model = LatencyModel.fig1_calibration()
 
-    kwargs = {"partition": partition, "latency_model": model, "seed": seed}
+    kwargs = {"partition": partition, "latency_model": model}
     for key in ("handler_capacity_bytes", "install_capacity_bytes", "footprint_bytes", "package_size_bytes"):
         if key in payload:
             kwargs[key] = size_of(payload[key])
@@ -262,7 +251,7 @@ def cmd_simulate(args) -> int:
         with open(args.config, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
         inputs.append(args.config)
-    config = _build_sim_config(partition, payload, args.seed)
+    config = _build_sim_config(partition, payload)
     result = run(trace, profiles, config)
     outputs = _emit(args, result.to_json() + "\n")
     if args.per_request:
@@ -279,11 +268,7 @@ def cmd_sweep(args) -> int:
     if not sizes:
         raise ValueError("--sizes must name at least one cache size")
     footprint = parse_size(args.footprint)
-    raw = os.environ.get("COLDSIM_THREADS", "").strip()
-    threads = int(raw) if raw else 0
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    rows = sweep_cache_sizes(trace, sizes, footprint, max_threads=threads)
+    rows = sweep_cache_sizes(trace, sizes, footprint)
     lines = ["cache_bytes,hit_rate"]
     lines.extend(f"{size},{rate:.6f}" for size, rate in rows)
     outputs = _emit(args, "\n".join(lines) + "\n")

@@ -103,9 +103,8 @@ class Partition:
         return cls(groups, sum(g.worker_count for g in groups))
 
 
-@dataclass(frozen=True)
-class RebalanceConfig:
-    drift_threshold: float = 0.1
+# rebalance re-clusters only when more than this share of window requests drifted
+REBALANCE_DRIFT_THRESHOLD = 0.1
 
 
 def build_dependency_graph(profiles: Sequence[FunctionProfile]) -> DependencyGraph:
@@ -343,17 +342,15 @@ def rebalance(
     partition: Partition,
     window_popularity: Mapping[str, int],
     graph: DependencyGraph,
-    config: RebalanceConfig | None = None,
 ) -> Partition:
     """Refresh worker allocation against a recent popularity window.
 
-    Group memberships are re-clustered only when drift exceeds the configured
-    threshold, where drift is the window-request share of functions whose
-    group moved in the popularity ranking (current worker counts stand in for
-    the previous ranking; ties in worker count form an exchangeable band, so
-    an unchanged window is always a fixed point).
+    Group memberships are re-clustered only when drift exceeds
+    ``REBALANCE_DRIFT_THRESHOLD``, where drift is the window-request share of
+    functions whose group moved in the popularity ranking (current worker
+    counts stand in for the previous ranking; ties in worker count form an
+    exchangeable band, so an unchanged window is always a fixed point).
     """
-    cfg = config or RebalanceConfig()
     groups = sorted(partition.groups, key=lambda g: g.group_id)
     group_pop = {
         g.group_id: sum(window_popularity.get(f, 0) for f in g.function_ids)
@@ -374,7 +371,7 @@ def rebalance(
     drifted = sum(group_pop[gid] for gid in moved)
     drift = drifted / total_window if total_window else 0.0
 
-    if drift > cfg.drift_threshold:
+    if drift > REBALANCE_DRIFT_THRESHOLD:
         member_sets: list[tuple[str, frozenset[str]]] = []
         by_runtime: dict[str, list[str]] = defaultdict(list)
         runtime_groups: Counter = Counter()

@@ -5,11 +5,12 @@ request is routed to a worker in its function's locality group, classified
 against that worker's caches, charged the modeled initialization latency,
 and executed FIFO on the worker. Handler-cache insertion happens at request
 completion; keep-alive expiry is evaluated lazily when a worker is next
-touched. Identical inputs always produce identical results.
+touched. ``_select_worker`` is the only router. Nothing here draws random
+numbers, so identical inputs always produce identical results.
 
 ``simple_lru_hit_rate`` and ``sweep_cache_sizes`` implement the simplified
 evaluation model: a single global LRU keyed by function id, bypassing
-workers and groups entirely.
+workers and groups entirely. The sweep replays the trace once per size.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import math
 import statistics
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Mapping, NamedTuple, Sequence
@@ -34,7 +34,7 @@ from .caches import (
     init_latency,
 )
 from .locality import Partition
-from .traces import FunctionProfile, RequestRecord, Trace
+from .traces import FunctionProfile, Trace
 
 DEFAULT_FOOTPRINT_BYTES = 256 * 1024 * 1024  # uniform per-instance footprint
 DEFAULT_PACKAGE_SIZE_BYTES = 10 * 1024 * 1024
@@ -66,7 +66,6 @@ class SimConfig:
     keep_alive_ms: int | None = 600_000
     latency_model: LatencyModel = field(default_factory=LatencyModel)
     routing_policy: RoutingPolicy = RoutingPolicy.HANDLER_AFFINITY
-    seed: int = 0
     footprint_bytes: int = DEFAULT_FOOTPRINT_BYTES
     footprint_overrides: Mapping[str, int] = field(default_factory=dict)
     package_size_bytes: int = DEFAULT_PACKAGE_SIZE_BYTES
@@ -76,8 +75,17 @@ class SimConfig:
             raise ValueError("keep_alive_ms must be >= 0")
         if self.import_max_nodes < 0:
             raise ValueError("import_max_nodes must be >= 0")
-        if self.footprint_bytes > self.handler_capacity_bytes:
-            raise ValueError("footprint_bytes exceeds handler capacity")
+        # an entry no cache can hold fails here, not at the request that first inserts it
+        sizes = [("footprint_bytes", self.footprint_bytes, "handler_capacity_bytes")]
+        sizes += [
+            (f"footprint_overrides[{fid!r}]", size, "handler_capacity_bytes")
+            for fid, size in self.footprint_overrides.items()
+        ]
+        sizes.append(("package_size_bytes", self.package_size_bytes, "install_capacity_bytes"))
+        for name, size, limit in sizes:
+            capacity = getattr(self, limit)
+            if not 0 <= size <= capacity:
+                raise ValueError(f"{name} = {size} is outside 0..{limit} ({capacity})")
         if isinstance(self.routing_policy, str):
             self.routing_policy = RoutingPolicy(self.routing_policy)
 
@@ -86,13 +94,12 @@ class Worker:
     """One simulated worker: private tier caches plus a FIFO request queue."""
 
     __slots__ = (
-        "worker_id", "group_id", "handler", "install", "imports",
+        "worker_id", "handler", "install", "imports",
         "busy_until_ms", "_inflight", "_completed_at",
     )
 
-    def __init__(self, worker_id: int, group_id: int, config: SimConfig):
+    def __init__(self, worker_id: int, config: SimConfig):
         self.worker_id = worker_id
-        self.group_id = group_id
         self.handler = HandlerCache(config.handler_capacity_bytes)
         self.install = InstallCache(config.install_capacity_bytes)
         self.imports = (
@@ -220,7 +227,13 @@ def _select_worker(
     policy: RoutingPolicy,
     keep_alive_ms: int | None,
 ) -> Worker:
-    """Route within a group; ``candidates`` must be in ascending worker id."""
+    """Pick the worker for one request among its group's ``candidates``.
+
+    HandlerAffinity prefers a candidate holding a live instance (lowest id
+    wins); otherwise, and always under LeastLoaded, the shortest queue wins,
+    then earliest busy_until_ms, then lowest id. ``candidates`` must be in
+    ascending worker id.
+    """
     if policy is RoutingPolicy.HANDLER_AFFINITY:
         # _completed_at has exactly the handler cache's keys; the first live
         # holder is the lowest-id one
@@ -239,29 +252,6 @@ def _select_worker(
     return best
 
 
-def route(
-    request: RequestRecord,
-    partition: Partition,
-    workers: Sequence[Worker],
-    policy: RoutingPolicy,
-    keep_alive_ms: int | None = None,
-) -> int:
-    """Pick the worker for one request within its function's locality group.
-
-    HandlerAffinity prefers a candidate already holding a live instance
-    (lowest id wins); otherwise, and always under LeastLoaded, the shortest
-    queue wins, then earliest busy_until_ms, then lowest id.
-    """
-    group = partition.function_to_group().get(request.function_id)
-    if group is None:
-        raise ValueError(f"unpartitioned function {request.function_id!r}")
-    candidates = sorted((w for w in workers if w.group_id == group), key=lambda w: w.worker_id)
-    if not candidates:
-        raise ValueError(f"no workers for group {group}")
-    chosen = _select_worker(candidates, request.function_id, request.timestamp_ms, policy, keep_alive_ms)
-    return chosen.worker_id
-
-
 def build_workers(config: SimConfig) -> dict[int, list[Worker]]:
     """Fresh workers per group, ids assigned sequentially in group-id order."""
     by_group: dict[int, list[Worker]] = {}
@@ -269,7 +259,7 @@ def build_workers(config: SimConfig) -> dict[int, list[Worker]]:
     for g in sorted(config.partition.groups, key=lambda g: g.group_id):
         pool = []
         for _ in range(g.worker_count):
-            pool.append(Worker(next_id, g.group_id, config))
+            pool.append(Worker(next_id, config))
             next_id += 1
         by_group[g.group_id] = pool
     return by_group
@@ -371,22 +361,14 @@ def sweep_cache_sizes(
     trace: Trace,
     sizes_bytes: Sequence[int],
     footprint_bytes: int = DEFAULT_FOOTPRINT_BYTES,
-    max_threads: int = 1,
 ) -> list[tuple[int, float]]:
     """Global-LRU hit rate per cache size, entries = size // footprint.
 
-    Sweep points are independent and may evaluate concurrently; the output
-    is always sorted ascending by size.
+    Rows are sorted ascending by size.
     """
     if footprint_bytes < 1:
         raise ValueError("footprint_bytes must be >= 1")
     for size in sizes_bytes:
         if size < footprint_bytes:
             raise ValueError(f"cache size {size} smaller than footprint {footprint_bytes}")
-    ordered = sorted(sizes_bytes)
-    if max_threads > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=max_threads) as pool:
-            rates = list(pool.map(lambda s: simple_lru_hit_rate(trace, s // footprint_bytes), ordered))
-    else:
-        rates = [simple_lru_hit_rate(trace, size // footprint_bytes) for size in ordered]
-    return list(zip(ordered, rates))
+    return [(size, simple_lru_hit_rate(trace, size // footprint_bytes)) for size in sorted(sizes_bytes)]

@@ -4,7 +4,7 @@ popularity-skew analysis.
 The ingestion boundary is a normalized CSV (``timestamp_ms,function_id``);
 converting platform-native trace archives into this format is left to
 external tooling. All operations here are pure and a ``Trace`` is immutable
-after construction, so values can be shared freely across threads.
+after construction.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ class RequestRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Trace:
-    """Time-ordered sequence of invocation events."""
+    """Time-ordered sequence of invocation events; it keeps no record of its source."""
 
     records: tuple[RequestRecord, ...]
-    source_label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
@@ -121,8 +120,10 @@ class SkewSummary:
         return json.dumps(payload, sort_keys=True)
 
 
-def parse_trace(stream: IO[str] | Iterable[str], label: str = "") -> Trace:
+def parse_trace(stream: IO[str] | Iterable[str]) -> Trace:
     """Parse a normalized trace CSV into a Trace sorted stably by timestamp.
+
+    Only the rows are kept; callers that need the source keep its path.
 
     Raises TraceParseError naming the offending line for malformed rows.
     A header-only input yields a valid empty Trace.
@@ -150,12 +151,12 @@ def parse_trace(stream: IO[str] | Iterable[str], label: str = "") -> Trace:
             raise TraceParseError(f"line {lineno}: empty function_id")
         records.append(RequestRecord(ts, function_id))
     records.sort(key=lambda rec: rec.timestamp_ms)  # stable: ties keep file order
-    return Trace(tuple(records), label)
+    return Trace(tuple(records))
 
 
 def load_trace(path) -> Trace:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle, label=str(path))
+        return parse_trace(handle)
 
 
 def write_trace(trace: Trace, stream: IO[str]) -> None:
@@ -201,8 +202,7 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> Trace:
     records = tuple(
         RequestRecord(int(ts), names[rank]) for ts, rank in zip(stamps, ranks)
     )
-    label = f"synthetic:n={spec.num_functions},m={spec.num_requests},s={spec.zipf_exponent},seed={spec.seed}"
-    return Trace(records, label)
+    return Trace(records)
 
 
 def request_counts(trace: Trace) -> Counter:

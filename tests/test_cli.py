@@ -81,13 +81,11 @@ def test_sweep_footprint_above_smallest_size_exits_2(small_trace, capsys):
     assert "smaller than footprint" in capsys.readouterr().err
 
 
-def test_sweep_thread_env_var(small_trace, capsys, monkeypatch):
-    monkeypatch.setenv("COLDSIM_THREADS", "2")
+def test_sweep_sorts_sizes(small_trace, capsys):
     assert main(["sweep", str(small_trace), "--sizes", "2GiB,1GiB"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1].startswith("1073741824,")
-    monkeypatch.setenv("COLDSIM_THREADS", "zero")
-    assert main(["sweep", str(small_trace), "--sizes", "1GiB"]) == 2
+    assert out[2].startswith("2147483648,")
 
 
 def generate_args(outdir: Path, seed=7, functions=40, requests=2000):
@@ -266,10 +264,25 @@ def test_simulate_honors_config_file(simulate_inputs, tmp_path, capsys):
 def test_simulate_rejects_unknown_config_keys(simulate_inputs, tmp_path, capsys):
     trace, profiles, partition = simulate_inputs
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"handler_cap": 1}))
-    rc = main(["simulate", str(trace), str(profiles), str(partition), "--config", str(config)])
-    assert rc == 2
-    assert "unknown simulation config keys" in capsys.readouterr().err
+    for payload in ({"handler_cap": 1}, {"seed": 1}):
+        config.write_text(json.dumps(payload))
+        rc = main(["simulate", str(trace), str(profiles), str(partition), "--config", str(config)])
+        assert rc == 2
+        assert "unknown simulation config keys" in capsys.readouterr().err
+
+
+def test_simulate_rejects_oversized_config_before_running(simulate_inputs, tmp_path, capsys):
+    trace, profiles, partition = simulate_inputs
+    config = tmp_path / "config.json"
+    for payload, key in (
+        ({"handler_capacity_bytes": "1GiB", "footprint_overrides": {"fn": "2GiB"}},
+         "footprint_overrides['fn']"),
+        ({"install_capacity_bytes": "1GiB", "package_size_bytes": "2GiB"}, "package_size_bytes"),
+    ):
+        config.write_text(json.dumps(payload))
+        rc = main(["simulate", str(trace), str(profiles), str(partition), "--config", str(config)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
 
 
 def test_manifest_written_alongside_out(small_trace, tmp_path):

@@ -8,7 +8,6 @@ from coldsim.locality import (
     DependencyGraph,
     LocalityGroup,
     Partition,
-    RebalanceConfig,
     allocate_workers,
     build_dependency_graph,
     mean_intra_group_similarity,
@@ -315,7 +314,7 @@ def test_rebalance_reclusters_on_large_drift():
     assert group_sets(partition) == {frozenset({"a1", "b1"}), frozenset({"a2", "b2"})}
     assert [g.worker_count for g in partition.groups] == [6, 4]
     window = {"a2": 50, "b2": 30, "a1": 10, "b1": 10}
-    result = rebalance(partition, window, graph, RebalanceConfig(drift_threshold=0.1))
+    result = rebalance(partition, window, graph)
     assert group_sets(result) == {frozenset({"a1", "a2"}), frozenset({"b1", "b2"})}
     assert [g.worker_count for g in result.groups] == [6, 4]
     check_invariants(result, profiles, 10)

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -10,14 +12,14 @@ from coldsim.sim import (
     PER_REQUEST_CSV_HEADER,
     RoutingPolicy,
     SimConfig,
+    _select_worker,
     build_workers,
-    route,
     run,
     simple_lru_hit_rate,
     sweep_cache_sizes,
     write_per_request_csv,
 )
-from coldsim.caches import Tier
+from coldsim.caches import LatencyModel, Tier
 from coldsim.traces import FunctionProfile, RequestRecord, Trace
 
 from reference import ReferenceQueue, reference_lru_hit_rate, reference_lru_hits
@@ -168,6 +170,55 @@ def test_affinity_reuses_the_holding_worker():
     assert least_loaded.outcomes[1].tier is not Tier.HANDLER_HIT
 
 
+def outputs_of(trace, profiles, config):
+    result = run(trace, profiles, config)
+    buffer = io.StringIO()
+    write_per_request_csv(result, buffer)
+    return result.to_json(), buffer.getvalue()
+
+
+def test_every_config_field_changes_the_output():
+    trace, profiles, config = busy_scenario()
+    popularity = {p.function_id: 1 for p in profiles}
+    varied = {
+        "partition": partition_round_robin(profiles, 1, 6, popularity),
+        "handler_capacity_bytes": 256 * MIB,
+        "install_capacity_bytes": 10 * MIB,
+        "import_max_nodes": 0,
+        "keep_alive_ms": None,
+        "latency_model": LatencyModel(shutdown_ms=7),
+        "routing_policy": RoutingPolicy.LEAST_LOADED,
+        "footprint_bytes": 512 * MIB,
+        "footprint_overrides": {"fn2": 512 * MIB},
+        "package_size_bytes": 8 * GIB,  # one package per worker
+    }
+    assert set(varied) == {f.name for f in dataclasses.fields(SimConfig)}
+    baseline = outputs_of(trace, profiles, config)
+    for name, value in varied.items():
+        assert getattr(config, name) != value, name
+        changed = dataclasses.replace(config, **{name: value})
+        assert outputs_of(trace, profiles, changed) != baseline, name
+
+
+@pytest.mark.parametrize(
+    "name, fields_for, limit",
+    [
+        ("footprint_bytes", lambda size: {"footprint_bytes": size}, "handler_capacity_bytes"),
+        ("footprint_overrides['fn']", lambda size: {"footprint_overrides": {"fn": size}},
+         "handler_capacity_bytes"),
+        ("package_size_bytes", lambda size: {"package_size_bytes": size}, "install_capacity_bytes"),
+    ],
+    ids=["footprint", "footprint_override", "package_size"],
+)
+def test_config_rejects_entries_no_cache_can_hold(name, fields_for, limit):
+    _, config = single_worker_setup()
+    capacity = getattr(config, limit)
+    for size in (-1, capacity + 1):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            dataclasses.replace(config, **fields_for(size))
+    dataclasses.replace(config, **fields_for(capacity))
+
+
 def test_run_validates_profiles_and_partition():
     prof, config = single_worker_setup()
     with pytest.raises(ValueError, match="no profile for function 'ghost'"):
@@ -198,48 +249,36 @@ def test_queue_len_matches_full_scan_oracle(steps):
 # --- routing ------------------------------------------------------------------
 
 
-def router_fixture():
+def router_fixture(**config_overrides):
     groups = (
         LocalityGroup(0, "python", frozenset({"fn", "other"}), 3),
         LocalityGroup(1, "python", frozenset({"foreign"}), 1),
     )
-    partition = Partition(groups, 4)
-    config = SimConfig(partition=partition)
-    workers = [w for pool in build_workers(config).values() for w in pool]
-    return partition, workers
+    return SimConfig(partition=Partition(groups, 4), **config_overrides)
 
 
 def test_route_single_candidate_group():
-    partition, workers = router_fixture()
-    assert route(RequestRecord(0, "foreign"), partition, workers, RoutingPolicy.LEAST_LOADED) == 3
+    config = router_fixture(routing_policy=RoutingPolicy.LEAST_LOADED)
+    profiles = [make_profile(f) for f in ("fn", "other", "foreign")]
+    result = run(make_trace((0, "foreign")), profiles, config)
+    assert [o.worker_id for o in result.outcomes] == [3]
 
 
 def test_route_affinity_beats_idleness():
-    partition, workers = router_fixture()
+    workers = build_workers(router_fixture())[0]
     workers[2].note_completion("fn", 1, completion_ms=0)
-    chosen = route(
-        RequestRecord(10, "fn"), partition, workers, RoutingPolicy.HANDLER_AFFINITY
-    )
-    assert chosen == 2
-    assert (
-        route(RequestRecord(10, "fn"), partition, workers, RoutingPolicy.LEAST_LOADED)
-        == 0
-    )
+    chosen = _select_worker(workers, "fn", 10, RoutingPolicy.HANDLER_AFFINITY, None)
+    assert chosen is workers[2]
+    assert _select_worker(workers, "fn", 10, RoutingPolicy.LEAST_LOADED, None) is workers[0]
 
 
 def test_route_least_loaded_prefers_shortest_queue():
-    partition, workers = router_fixture()
+    workers = build_workers(router_fixture())[0]
     workers[0].begin(200, 300)
     workers[0].begin(300, 400)
     workers[2].begin(150, 250)
-    chosen = route(RequestRecord(100, "fn"), partition, workers, RoutingPolicy.LEAST_LOADED)
-    assert chosen == 1
-
-
-def test_route_unpartitioned_function():
-    partition, workers = router_fixture()
-    with pytest.raises(ValueError, match="unpartitioned function 'nope'"):
-        route(RequestRecord(0, "nope"), partition, workers, RoutingPolicy.LEAST_LOADED)
+    chosen = _select_worker(workers, "fn", 100, RoutingPolicy.LEAST_LOADED, None)
+    assert chosen is workers[1]
 
 
 # --- global LRU and the cache-size sweep ----------------------------------------
@@ -299,14 +338,6 @@ def test_sweep_rejects_sizes_below_footprint():
     trace = make_trace((0, "A"))
     with pytest.raises(ValueError, match="smaller than footprint"):
         sweep_cache_sizes(trace, [100 * MIB], footprint_bytes=256 * MIB)
-
-
-def test_sweep_threaded_matches_serial():
-    rnd = random.Random(3)
-    sequence = [f"f{rnd.randint(0, 19)}" for _ in range(1500)]
-    trace = Trace(tuple(RequestRecord(i, f) for i, f in enumerate(sequence)))
-    sizes = [256 * MIB, GIB, 2 * GIB]
-    assert sweep_cache_sizes(trace, sizes, max_threads=4) == sweep_cache_sizes(trace, sizes)
 
 
 def test_per_request_csv_shape():

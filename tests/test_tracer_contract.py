@@ -76,3 +76,25 @@ def test_traced_simulation_reaches_every_per_request_layer(tracer_module, tmp_pa
         "sim.expire_handler",
     ):
         assert tracer.calls[name][0] > 0, name
+
+
+def test_traced_sweep_replays_once_per_size(tracer_module, tmp_path):
+    trace = tmp_path / "trace.csv"
+    assert cli.main([
+        "generate", "--quiet", "--functions", "40", "--requests", "2000",
+        "--duration", "600000", "--seed", "3",
+        "--out", str(trace), "--profiles-out", str(tmp_path / "profiles.csv"),
+    ]) == 0
+    sizes = ["256MiB", "1GiB", "2GiB"]
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    try:
+        assert cli.main([
+            "sweep", str(trace), "--quiet", "--sizes", ",".join(sizes),
+            "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.span_count("sim.sweep_cache_sizes") == 1
+    # the sweep reaches the replay through the sim module attribute the tracer wraps
+    assert tracer.span_count("sim.lru_replay") == len(sizes)

@@ -75,7 +75,7 @@ def test_write_then_parse_is_identity(pairs):
     records = tuple(
         RequestRecord(ts, fid) for ts, fid in sorted(pairs, key=lambda p: p[0])
     )
-    trace = Trace(records, "prop")
+    trace = Trace(records)
     buffer = io.StringIO()
     write_trace(trace, buffer)
     reparsed = parse_trace(io.StringIO(buffer.getvalue()))
