@@ -6,8 +6,7 @@ mapped read-only into workers; a hit skips download and install. Tier 3
 (import): a tree of sleeping processes with progressively larger pre-imported
 package sets; a new instance forks from the best-matching node.
 
-Each cache instance is a single-threaded mutable state machine; drive
-distinct instances from distinct threads if you need parallelism.
+Each cache instance is a single-threaded mutable state machine.
 """
 
 from __future__ import annotations
@@ -400,11 +399,7 @@ def classify_request(
     return CacheLookupResult(tier, preimported, preinstalled, cold, node_id)
 
 
-def init_latency(
-    result: CacheLookupResult,
-    profile: FunctionProfile,
-    model: LatencyModel,
-) -> LatencyBreakdown:
+def init_latency(result: CacheLookupResult, model: LatencyModel) -> LatencyBreakdown:
     """Initialization cost for one request given its cache-probe outcome.
 
     A handler hit costs one unpause. Otherwise cold packages pay download and
@@ -412,7 +407,6 @@ def init_latency(
     costs a fork when an import-tree node (possibly the root) is available,
     else a full sandbox creation.
     """
-    del profile  # latency depends only on the probe outcome and the model
     if result.tier is Tier.HANDLER_HIT:
         return LatencyBreakdown(0, 0, 0, 0, 0, model.unpause_ms)
     download = len(result.cold) * model.download_ms_per_package

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .caches import LatencyModel
@@ -65,22 +66,12 @@ class RunManifest:
     config_digest: str
     input_paths: tuple[str, ...]
     output_paths: tuple[str, ...]
-    seed: int
+    seed: int | None  # only generate draws random numbers
     tool_version: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "config_digest": self.config_digest,
-                "input_paths": list(self.input_paths),
-                "output_paths": list(self.output_paths),
-                "seed": self.seed,
-                "tool_version": self.tool_version,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        payload = {k: v for k, v in asdict(self).items() if v is not None}
+        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _digest(command: str, parameters: dict, inputs: list[str]) -> str:
@@ -109,7 +100,7 @@ def _finish(args, command: str, parameters: dict, inputs: list[str], outputs: li
             config_digest=_digest(command, parameters, inputs),
             input_paths=tuple(inputs),
             output_paths=tuple(outputs),
-            seed=args.seed,
+            seed=getattr(args, "seed", None),
             tool_version=__version__,
         )
         _write_text(outputs[0] + ".manifest.json", manifest.to_json() + "\n")
@@ -252,14 +243,19 @@ def cmd_simulate(args) -> int:
             payload = json.load(handle)
         inputs.append(args.config)
     config = _build_sim_config(partition, payload)
-    result = run(trace, profiles, config)
-    outputs = _emit(args, result.to_json() + "\n")
     if args.per_request:
-        with open(args.per_request, "w", encoding="utf-8", newline="\n") as handle:
-            write_per_request_csv(result, handle)
-        outputs.append(args.per_request)
-    parameters = {"config": payload, "seed": args.seed}
-    return _finish(args, "simulate", parameters, inputs, outputs)
+        handle = open(args.per_request, "w", encoding="utf-8", newline="\n")
+        try:
+            # rows are written during the run; a command that fails keeps none of them
+            with handle:
+                result = run(trace, profiles, config, write_per_request_csv(handle))
+            outputs = _emit(args, result.to_json() + "\n") + [args.per_request]
+        except BaseException:
+            os.remove(args.per_request)
+            raise
+    else:
+        outputs = _emit(args, run(trace, profiles, config).to_json() + "\n")
+    return _finish(args, "simulate", {"config": payload}, inputs, outputs)
 
 
 def cmd_sweep(args) -> int:
@@ -286,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the primary output to this file (default: stdout)")
-    common.add_argument("--seed", type=int, default=0, help="seed for seeded operations")
     common.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
     p = sub.add_parser("analyze", parents=[common], help="popularity CDF and coverage thresholds")
@@ -305,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deps-max", type=int, default=5)
     p.add_argument("--package-zipf", type=float, default=1.0)
     p.add_argument("--runtime", default="python")
+    p.add_argument("--seed", type=int, default=0, help="seed for the trace and the catalog")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("partition", parents=[common], help="build locality groups")

@@ -8,6 +8,10 @@ completion; keep-alive expiry is evaluated lazily when a worker is next
 touched. ``_select_worker`` is the only router. Nothing here draws random
 numbers, so identical inputs always produce identical results.
 
+A run folds each request into the aggregates of its ``SimResult`` and keeps
+no outcome. A ``RequestOutcome`` is built only for an optional
+sink, such as the per-request CSV writer, as each request is simulated.
+
 ``simple_lru_hit_rate`` and ``sweep_cache_sizes`` implement the simplified
 evaluation model: a single global LRU keyed by function id, bypassing
 workers and groups entirely. The sweep replays the trace once per size.
@@ -17,11 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections import Counter, OrderedDict, deque
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import IO, Mapping, NamedTuple, Sequence
+from itertools import accumulate
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .caches import (
     HandlerCache,
@@ -157,11 +162,14 @@ class RequestOutcome(NamedTuple):
     total_ms: int
 
 
+Sink = Callable[[RequestOutcome], None]
+
+
 @dataclass(frozen=True)
 class SimResult:
-    """Per-request outcomes plus aggregates recomputable from them."""
+    """Aggregates of one run; ``run`` passes per-request outcomes to a sink."""
 
-    outcomes: tuple[RequestOutcome, ...]
+    requests: int
     tier_counts: dict[str, int]
     hit_rate_by_tier: dict[str, float]
     mean_init_ms: float | None
@@ -169,55 +177,51 @@ class SimResult:
     p99_init_ms: float | None
     cold_start_fraction: float
 
-    @classmethod
-    def from_outcomes(cls, outcomes: Sequence[RequestOutcome]) -> "SimResult":
-        outcomes = tuple(outcomes)
-        counts = {tier.value: 0 for tier in Tier}
-        for o in outcomes:
-            counts[o.tier.value] += 1
-        n = len(outcomes)
-        if n == 0:
-            return cls(outcomes, counts, {t: 0.0 for t in counts}, None, None, None, 0.0)
-        rates = {t: c / n for t, c in counts.items()}
-        init = sorted(o.breakdown.total_ms for o in outcomes)
-        p99 = float(init[max(0, math.ceil(0.99 * n) - 1)])
-        cold = 1.0 - rates[Tier.HANDLER_HIT.value]
-        return cls(
-            outcomes,
-            counts,
-            rates,
-            sum(init) / n,
-            float(statistics.median(init)),
-            p99,
-            cold,
-        )
-
-    @property
-    def requests(self) -> int:
-        return len(self.outcomes)
-
     def to_json(self) -> str:
-        payload = {
-            "requests": self.requests,
-            "tier_counts": self.tier_counts,
-            "hit_rate_by_tier": self.hit_rate_by_tier,
-            "mean_init_ms": self.mean_init_ms,
-            "median_init_ms": self.median_init_ms,
-            "p99_init_ms": self.p99_init_ms,
-            "cold_start_fraction": self.cold_start_fraction,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
-def write_per_request_csv(result: SimResult, stream: IO[str]) -> None:
+def _summarize(groups: Iterable[tuple[Tier, int, int]]) -> SimResult:
+    """Exact aggregates over requests given as (tier, init ms, count) groups."""
+    counts = {tier.value: 0 for tier in Tier}
+    init_counts: Counter[int] = Counter()
+    for tier, init_ms, count in groups:
+        counts[tier.value] += count
+        init_counts[init_ms] += count
+    n = sum(counts.values())
+    if n == 0:
+        return SimResult(0, counts, {t: 0.0 for t in counts}, None, None, None, 0.0)
+    values = sorted(init_counts)
+    ends = list(accumulate(init_counts[v] for v in values))  # ends[i]: latencies <= values[i]
+
+    def nth(rank: int) -> int:  # the rank-th smallest latency, counted from 0
+        return values[bisect_right(ends, rank)]
+
+    rates = {t: c / n for t, c in counts.items()}
+    return SimResult(
+        n,
+        counts,
+        rates,
+        sum(v * c for v, c in init_counts.items()) / n,
+        (nth((n - 1) // 2) + nth(n // 2)) / 2,  # as statistics.median
+        float(nth(math.ceil(0.99 * n) - 1)),
+        1.0 - rates[Tier.HANDLER_HIT.value],
+    )
+
+
+def write_per_request_csv(stream: IO[str]) -> Sink:
+    """Write the CSV header to ``stream``; return a ``run`` sink that writes the rows."""
     stream.write(PER_REQUEST_CSV_HEADER + "\n")
-    for o in result.outcomes:
+
+    def write_row(o: RequestOutcome) -> None:
         b = o.breakdown
         stream.write(
             f"{o.timestamp_ms},{o.function_id},{o.worker_id},{o.tier.value},"
             f"{b.load_ms},{b.download_ms},{b.install_ms},{b.import_ms},"
             f"{b.create_ms},{o.exec_ms},{o.shutdown_ms},{o.total_ms}\n"
         )
+
+    return write_row
 
 
 def _select_worker(
@@ -265,8 +269,10 @@ def build_workers(config: SimConfig) -> dict[int, list[Worker]]:
     return by_group
 
 
-def run(trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig) -> SimResult:
-    """Simulate the full trace; see the module docstring for event mechanics."""
+def run(
+    trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig, sink: Sink | None = None
+) -> SimResult:
+    """Simulate the full trace, passing each outcome to ``sink``; see the module docstring."""
     catalog: dict[str, FunctionProfile] = {}
     for p in profiles:
         if p.function_id in catalog:
@@ -297,7 +303,7 @@ def run(trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig) ->
     package_size = config.package_size_bytes
     # a breakdown depends only on these probe features, so equal ones are shared
     breakdowns: dict[tuple, LatencyBreakdown] = {}
-    outcomes = []
+    tally: Counter[tuple] = Counter()  # requests per breakdown key, whose first item is the tier
     for rec in trace.records:
         now, fid = rec
         profile, candidates, footprint = per_function[fid]
@@ -308,7 +314,8 @@ def run(trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig) ->
         key = (probe.tier, len(probe.cold), len(probe.preinstalled), probe.forked_node_id is not None)
         breakdown = breakdowns.get(key)
         if breakdown is None:
-            breakdown = breakdowns[key] = init_latency(probe, profile, model)
+            breakdown = breakdowns[key] = init_latency(probe, model)
+        tally[key] += 1
         exec_ms = profile.exec_duration_ms
         completion = start + breakdown.total_ms + exec_ms
         worker.begin(start, completion)
@@ -321,21 +328,22 @@ def run(trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig) ->
                 imports.touch(probe.forked_node_id, start)
                 if profile.dependencies > imports.packages(probe.forked_node_id):
                     imports.insert(probe.forked_node_id, profile.dependencies, start)
-        outcomes.append(
-            RequestOutcome(
-                timestamp_ms=now,
-                function_id=fid,
-                worker_id=worker.worker_id,
-                tier=probe.tier,
-                breakdown=breakdown,
-                exec_ms=exec_ms,
-                shutdown_ms=shutdown_ms,
-                start_ms=start,
-                completion_ms=completion,
-                total_ms=breakdown.total_ms + exec_ms + shutdown_ms,
+        if sink is not None:
+            sink(
+                RequestOutcome(
+                    timestamp_ms=now,
+                    function_id=fid,
+                    worker_id=worker.worker_id,
+                    tier=probe.tier,
+                    breakdown=breakdown,
+                    exec_ms=exec_ms,
+                    shutdown_ms=shutdown_ms,
+                    start_ms=start,
+                    completion_ms=completion,
+                    total_ms=breakdown.total_ms + exec_ms + shutdown_ms,
+                )
             )
-        )
-    return SimResult.from_outcomes(outcomes)
+    return _summarize((key[0], breakdowns[key].total_ms, count) for key, count in tally.items())
 
 
 def simple_lru_hit_rate(trace: Trace, capacity_entries: int) -> float:

@@ -6,7 +6,11 @@ set-partition search) kept separate from the code under test.
 
 from __future__ import annotations
 
+import math
+import statistics
 from itertools import combinations
+
+from coldsim.caches import Tier
 
 
 class ReferenceLRU:
@@ -147,3 +151,27 @@ class ReferenceImportTree:
             leaves = [n for n in self.nodes if n != self.ROOT_ID and n not in parents]
             del self.nodes[min(leaves, key=lambda n: (self.nodes[n][3], -n))]
         return node_id
+
+
+def reference_summary(outcomes) -> dict:
+    """A run's aggregates, as ``SimResult`` fields, recomputed from all of its
+    outcomes by sorting every init latency."""
+    counts = {tier.value: 0 for tier in Tier}
+    for o in outcomes:
+        counts[o.tier.value] += 1
+    n = len(outcomes)
+    if n == 0:
+        rates = {t: 0.0 for t in counts}
+        return dict(requests=0, tier_counts=counts, hit_rate_by_tier=rates, mean_init_ms=None,
+                    median_init_ms=None, p99_init_ms=None, cold_start_fraction=0.0)
+    rates = {t: c / n for t, c in counts.items()}
+    init = sorted(o.breakdown.total_ms for o in outcomes)
+    return dict(
+        requests=n,
+        tier_counts=counts,
+        hit_rate_by_tier=rates,
+        mean_init_ms=sum(init) / n,
+        median_init_ms=float(statistics.median(init)),
+        p99_init_ms=float(init[max(0, math.ceil(0.99 * n) - 1)]),
+        cold_start_fraction=1.0 - rates[Tier.HANDLER_HIT.value],
+    )

@@ -145,11 +145,11 @@ def test_criterion_04_fig1_calibration(tmp_path):
     model = LatencyModel.fig1_calibration()
     probe = CacheLookupResult(Tier.MISS, cold=frozenset({"numpy"}))
     profile = FunctionProfile("fn", "python", frozenset({"numpy"}), 100, 63)
-    breakdown = init_latency(probe, profile, model)
+    breakdown = init_latency(probe, model)
     assert breakdown.total_ms == 3472
 
     handler_probe = CacheLookupResult(Tier.HANDLER_HIT)
-    assert init_latency(handler_probe, profile, model).total_ms == model.unpause_ms == 2
+    assert init_latency(handler_probe, model).total_ms == model.unpause_ms == 2
 
     trace_path = tmp_path / "trace.csv"
     profiles_path = tmp_path / "profiles.csv"
@@ -212,13 +212,12 @@ def test_criterion_05_three_tier_monotonicity():
 
         handler = HandlerCache(MIB)
         handler.insert("fn", 1)
-        hit = init_latency(classify_request(profile, handler, InstallCache(MIB)), profile, model)
+        hit = init_latency(classify_request(profile, handler, InstallCache(MIB)), model)
 
         full_tree = ImportCacheTree(8)
         full_tree.insert(full_tree.ROOT_ID, deps, 1)
         full = init_latency(
             classify_request(profile, HandlerCache(MIB), InstallCache(MIB), full_tree),
-            profile,
             model,
         )
 
@@ -232,14 +231,14 @@ def test_criterion_05_three_tier_monotonicity():
         for pkg in sorted(installed):
             install.insert(pkg, 1)
         partial_probe = classify_request(profile, HandlerCache(MIB), install, partial_tree)
-        partial = init_latency(partial_probe, profile, model)
+        partial = init_latency(partial_probe, model)
 
         miss_probe = classify_request(
             profile, HandlerCache(MIB), InstallCache(MIB), ImportCacheTree(1)
         )
-        miss = init_latency(miss_probe, profile, model)
+        miss = init_latency(miss_probe, model)
         no_tree_probe = classify_request(profile, HandlerCache(MIB), InstallCache(MIB))
-        no_tree = init_latency(no_tree_probe, profile, model)
+        no_tree = init_latency(no_tree_probe, model)
 
         assert hit.total_ms <= full.total_ms <= partial.total_ms <= miss.total_ms <= no_tree.total_ms
 
@@ -249,7 +248,6 @@ def test_criterion_05_three_tier_monotonicity():
             install.insert(extra, 1)
             grown = init_latency(
                 classify_request(profile, HandlerCache(MIB), install, partial_tree),
-                profile,
                 model,
             )
             assert grown.total_ms <= partial.total_ms
@@ -260,7 +258,6 @@ def test_criterion_05_three_tier_monotonicity():
             partial_tree.insert(node_id, partial_tree.packages(node_id) | {missing[0]}, 2)
             deeper = init_latency(
                 classify_request(profile, HandlerCache(MIB), install, partial_tree),
-                profile,
                 model,
             )
             assert deeper.total_ms <= partial.total_ms

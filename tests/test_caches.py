@@ -341,7 +341,7 @@ def test_classify_partitions_the_dependency_set(deps, installed, imported):
 
 def test_fig1_preset_single_dependency_miss_totals_3472():
     result = CacheLookupResult(Tier.MISS, cold=frozenset({"numpy"}))
-    breakdown = init_latency(result, profile(deps={"numpy"}), FIG1)
+    breakdown = init_latency(result, FIG1)
     assert breakdown.total_ms == 3472
     assert (
         breakdown.load_ms,
@@ -353,7 +353,7 @@ def test_fig1_preset_single_dependency_miss_totals_3472():
 
 
 def test_handler_hit_costs_one_unpause():
-    breakdown = init_latency(CacheLookupResult(Tier.HANDLER_HIT), profile(), FIG1)
+    breakdown = init_latency(CacheLookupResult(Tier.HANDLER_HIT), FIG1)
     assert breakdown.total_ms == FIG1.unpause_ms == 2
     assert breakdown.load_ms == breakdown.create_ms == 0
 
@@ -362,7 +362,7 @@ def test_full_import_hit_costs_load_plus_fork():
     result = CacheLookupResult(
         Tier.IMPORT_HIT, preimported=frozenset({"numpy"}), forked_node_id=3
     )
-    breakdown = init_latency(result, profile(deps={"numpy"}), FIG1)
+    breakdown = init_latency(result, FIG1)
     assert breakdown.total_ms == FIG1.code_load_ms + FIG1.fork_ms == 215
 
 
@@ -370,7 +370,7 @@ def test_preinstalled_packages_skip_download_and_install():
     result = CacheLookupResult(
         Tier.INSTALL_HIT, preinstalled=frozenset({"a", "b"}), forked_node_id=0
     )
-    breakdown = init_latency(result, profile(deps={"a", "b"}), FIG1)
+    breakdown = init_latency(result, FIG1)
     assert breakdown.download_ms == breakdown.install_ms == 0
     assert breakdown.import_ms == 2 * FIG1.import_ms_per_package
     assert breakdown.create_ms == FIG1.fork_ms
@@ -392,10 +392,9 @@ def test_latency_model_invariants():
 
 def test_tier_ordering_under_preset():
     deps = frozenset({"a", "b", "c"})
-    p = profile(deps=deps)
-    handler_hit = init_latency(CacheLookupResult(Tier.HANDLER_HIT), p, FIG1)
+    handler_hit = init_latency(CacheLookupResult(Tier.HANDLER_HIT), FIG1)
     full_import = init_latency(
-        CacheLookupResult(Tier.IMPORT_HIT, preimported=deps, forked_node_id=1), p, FIG1
+        CacheLookupResult(Tier.IMPORT_HIT, preimported=deps, forked_node_id=1), FIG1
     )
     partial = init_latency(
         CacheLookupResult(
@@ -405,11 +404,10 @@ def test_tier_ordering_under_preset():
             cold=frozenset({"c"}),
             forked_node_id=1,
         ),
-        p,
         FIG1,
     )
-    miss = init_latency(CacheLookupResult(Tier.MISS, cold=deps, forked_node_id=0), p, FIG1)
-    miss_no_tree = init_latency(CacheLookupResult(Tier.MISS, cold=deps), p, FIG1)
+    miss = init_latency(CacheLookupResult(Tier.MISS, cold=deps, forked_node_id=0), FIG1)
+    miss_no_tree = init_latency(CacheLookupResult(Tier.MISS, cold=deps), FIG1)
     assert (
         handler_hit.total_ms
         <= full_import.total_ms

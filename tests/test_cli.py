@@ -109,6 +109,7 @@ def test_generate_is_byte_reproducible(tmp_path):
     assert main(generate_args(tmp_path)) == 0
     for name in names:
         assert (tmp_path / name).read_bytes() == snapshots[name], name
+    assert json.loads(snapshots["trace.csv.manifest.json"])["seed"] == 7
 
 
 def test_generate_exact_row_counts(tmp_path):
@@ -242,6 +243,22 @@ def test_simulate_missing_profile_names_function(simulate_inputs, tmp_path, caps
     assert "no profile for function 'fn'" in capsys.readouterr().err
 
 
+def test_failed_simulate_leaves_no_output_files(simulate_inputs, tmp_path):
+    trace, profiles, partition = simulate_inputs
+    sparse = tmp_path / "sparse.csv"
+    write_profiles_csv(sparse, ["other,python,10,63,"])
+    per_request = tmp_path / "per_request.csv"
+    # an unprofiled function fails the run; an --out in a missing directory fails after it
+    for catalog, out in ((sparse, tmp_path / "result.json"), (profiles, tmp_path / "no" / "r.json")):
+        rc = main([
+            "simulate", str(trace), str(catalog), str(partition),
+            "--quiet", "--out", str(out), "--per-request", str(per_request),
+        ])
+        assert rc == 2
+        assert not out.exists()
+        assert not per_request.exists()
+
+
 def test_simulate_honors_config_file(simulate_inputs, tmp_path, capsys):
     trace, profiles, partition = simulate_inputs
     config = tmp_path / "config.json"
@@ -294,10 +311,28 @@ def test_manifest_written_alongside_out(small_trace, tmp_path):
     assert manifest["output_paths"] == [str(out)]
     assert len(manifest["config_digest"]) == 64
     assert manifest["tool_version"]
+    assert "seed" not in manifest
     digest = manifest["config_digest"]
     assert main(["analyze", str(small_trace), "--quiet", "--out", str(out)]) == 0
     again = json.loads((tmp_path / "skew.json.manifest.json").read_text())
     assert again["config_digest"] == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "trace.csv"],
+        ["partition", "profiles.csv", "trace.csv", "--groups-per-runtime", "1", "--workers", "1"],
+        ["simulate", "trace.csv", "profiles.csv", "partition.json"],
+        ["sweep", "trace.csv", "--sizes", "1GiB"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_generate_takes_a_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

@@ -62,8 +62,7 @@ def test_simulation_outputs_are_byte_identical(workload, case):
         footprint_overrides={"f0000": 512 * MIB},
         **overrides,
     )
-    result = run(trace, profiles, config)
     buffer = io.StringIO()
-    write_per_request_csv(result, buffer)
+    result = run(trace, profiles, config, sink=write_per_request_csv(buffer))
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == json_digest
     assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == csv_digest

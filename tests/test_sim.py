@@ -2,9 +2,10 @@ import dataclasses
 import io
 import random
 import re
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coldsim.locality import LocalityGroup, Partition, partition_round_robin
@@ -20,9 +21,22 @@ from coldsim.sim import (
     write_per_request_csv,
 )
 from coldsim.caches import LatencyModel, Tier
-from coldsim.traces import FunctionProfile, RequestRecord, Trace
+from coldsim.traces import (
+    FunctionProfile,
+    RequestRecord,
+    SyntheticTraceSpec,
+    Trace,
+    generate_synthetic,
+    request_counts,
+    synthesize_profiles,
+)
 
-from reference import ReferenceQueue, reference_lru_hit_rate, reference_lru_hits
+from reference import (
+    ReferenceQueue,
+    reference_lru_hit_rate,
+    reference_lru_hits,
+    reference_summary,
+)
 
 GIB = 1024**3
 MIB = 1024**2
@@ -36,6 +50,12 @@ def make_trace(*stamped_ids):
     return Trace(tuple(RequestRecord(ts, fid) for ts, fid in stamped_ids))
 
 
+def outcomes_of(trace, profiles, config):
+    collected = []
+    run(trace, profiles, config, sink=collected.append)
+    return collected
+
+
 def single_worker_setup(deps=("x",), exec_ms=63, **config_overrides):
     prof = make_profile("fn", deps, exec_ms=exec_ms)
     partition = partition_round_robin([prof], 1, 1, {"fn": 1})
@@ -46,25 +66,25 @@ def single_worker_setup(deps=("x",), exec_ms=63, **config_overrides):
 def test_second_request_within_keep_alive_is_handler_hit():
     prof, config = single_worker_setup()
     trace = make_trace((0, "fn"), (5000, "fn"))
-    result = run(trace, [prof], config)
-    assert [o.tier for o in result.outcomes] == [Tier.MISS, Tier.HANDLER_HIT]
+    outcomes = outcomes_of(trace, [prof], config)
+    assert [o.tier for o in outcomes] == [Tier.MISS, Tier.HANDLER_HIT]
 
 
 def test_expired_handler_falls_back_to_import_tree():
     prof, config = single_worker_setup(keep_alive_ms=1000)
     trace = make_trace((0, "fn"), (2_000_000, "fn"))
-    result = run(trace, [prof], config)
-    assert [o.tier for o in result.outcomes] == [Tier.MISS, Tier.IMPORT_HIT]
+    outcomes = outcomes_of(trace, [prof], config)
+    assert [o.tier for o in outcomes] == [Tier.MISS, Tier.IMPORT_HIT]
     # everything pre-imported: code load plus a fork
-    assert result.outcomes[1].breakdown.total_ms == 215
+    assert outcomes[1].breakdown.total_ms == 215
 
 
 def test_zero_keep_alive_only_hits_at_the_completion_instant():
     prof, config = single_worker_setup(keep_alive_ms=0)
     # first request: init 3315 (load 200 + 1×(1200+1500+400) + fork 15), exec 63
     trace = make_trace((0, "fn"), (3378, "fn"), (3444, "fn"))
-    result = run(trace, [prof], config)
-    assert [o.tier for o in result.outcomes] == [
+    outcomes = outcomes_of(trace, [prof], config)
+    assert [o.tier for o in outcomes] == [
         Tier.MISS,
         Tier.HANDLER_HIT,
         Tier.IMPORT_HIT,
@@ -85,9 +105,9 @@ def test_infinite_keep_alive_reduces_to_capacity_lru():
     )
     sequence = [rnd.choice(ids) for _ in range(600)]
     trace = Trace(tuple(RequestRecord(i, f) for i, f in enumerate(sequence)))
-    result = run(trace, profiles, config)
+    outcomes = outcomes_of(trace, profiles, config)
     expected = reference_lru_hits(sequence, 3)
-    assert [o.tier is Tier.HANDLER_HIT for o in result.outcomes] == expected
+    assert [o.tier is Tier.HANDLER_HIT for o in outcomes] == expected
 
 
 def test_empty_trace_yields_empty_result():
@@ -101,7 +121,7 @@ def test_empty_trace_yields_empty_result():
     assert set(result.hit_rate_by_tier.values()) == {0.0}
 
 
-def busy_scenario(seed=23, policy=RoutingPolicy.HANDLER_AFFINITY):
+def busy_scenario(seed=23, policy=RoutingPolicy.HANDLER_AFFINITY, requests=300):
     rnd = random.Random(seed)
     runtimes = ["python", "nodejs"]
     profiles = [
@@ -111,7 +131,7 @@ def busy_scenario(seed=23, policy=RoutingPolicy.HANDLER_AFFINITY):
     ]
     popularity = {p.function_id: rnd.randint(1, 50) for p in profiles}
     partition = partition_round_robin(profiles, 2, 6, popularity)
-    stamps = sorted(rnd.randint(0, 4000) for _ in range(300))
+    stamps = sorted(rnd.randint(0, 4000) for _ in range(requests))
     records = tuple(
         RequestRecord(ts, rnd.choice(profiles).function_id) for ts in stamps
     )
@@ -122,13 +142,37 @@ def busy_scenario(seed=23, policy=RoutingPolicy.HANDLER_AFFINITY):
 
 def test_run_is_deterministic():
     trace, profiles, config = busy_scenario()
-    first = run(trace, profiles, config)
-    second = run(trace, profiles, busy_scenario()[2])
-    assert first.to_json() == second.to_json()
     out1, out2 = io.StringIO(), io.StringIO()
-    write_per_request_csv(first, out1)
-    write_per_request_csv(second, out2)
+    first = run(trace, profiles, config, sink=write_per_request_csv(out1))
+    second = run(trace, profiles, busy_scenario()[2], sink=write_per_request_csv(out2))
+    assert first.to_json() == second.to_json()
     assert out1.getvalue() == out2.getvalue()
+
+
+@given(st.integers(0, 2**16), st.integers(0, 300), st.sampled_from(RoutingPolicy))
+@example(seed=1, requests=0, policy=RoutingPolicy.HANDLER_AFFINITY)
+@example(seed=1, requests=1, policy=RoutingPolicy.HANDLER_AFFINITY)
+@example(seed=1, requests=2, policy=RoutingPolicy.LEAST_LOADED)
+@example(seed=1, requests=3, policy=RoutingPolicy.LEAST_LOADED)
+def test_run_aggregates_match_sorting_oracle(seed, requests, policy):
+    trace, profiles, config = busy_scenario(seed, policy, requests)
+    collected = []
+    result = run(trace, profiles, config, sink=collected.append)
+    assert dataclasses.asdict(result) == reference_summary(collected)
+
+
+def test_run_without_sink_keeps_no_per_request_state():
+    trace = generate_synthetic(SyntheticTraceSpec(40, 50_000, 1.1, 3_600_000, seed=5))
+    profiles = synthesize_profiles(trace, catalog_size=40, deps_per_function=(0, 5), seed=5)
+    config = SimConfig(partition=partition_round_robin(profiles, 2, 4, request_counts(trace)))
+    tracemalloc.start()
+    try:
+        result = run(trace, profiles, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.requests == 50_000
+    assert peak < MIB, f"run peaked at {peak / MIB:.2f} MiB"
 
 
 def test_tier_counts_and_rates_conserve():
@@ -144,9 +188,8 @@ def test_tier_counts_and_rates_conserve():
 def test_same_worker_requests_never_overlap():
     for policy in (RoutingPolicy.HANDLER_AFFINITY, RoutingPolicy.LEAST_LOADED):
         trace, profiles, config = busy_scenario(seed=47, policy=policy)
-        result = run(trace, profiles, config)
         by_worker = {}
-        for o in result.outcomes:
+        for o in outcomes_of(trace, profiles, config):
             by_worker.setdefault(o.worker_id, []).append(o)
         for outcomes in by_worker.values():
             ordered = sorted(outcomes, key=lambda o: o.start_ms)
@@ -158,22 +201,21 @@ def test_affinity_reuses_the_holding_worker():
     prof = make_profile("fn", deps=("x",))
     partition = Partition((LocalityGroup(0, "python", frozenset({"fn"}), 2),), 2)
     trace = make_trace((0, "fn"), (10_000, "fn"))
-    affinity = run(trace, [prof], SimConfig(partition=partition))
-    assert [o.worker_id for o in affinity.outcomes] == [0, 0]
-    assert affinity.outcomes[1].tier is Tier.HANDLER_HIT
-    least_loaded = run(
+    affinity = outcomes_of(trace, [prof], SimConfig(partition=partition))
+    assert [o.worker_id for o in affinity] == [0, 0]
+    assert affinity[1].tier is Tier.HANDLER_HIT
+    least_loaded = outcomes_of(
         trace, [prof],
         SimConfig(partition=partition, routing_policy=RoutingPolicy.LEAST_LOADED),
     )
     # the idle twin has an earlier busy_until, so the repeat lands cold
-    assert [o.worker_id for o in least_loaded.outcomes] == [0, 1]
-    assert least_loaded.outcomes[1].tier is not Tier.HANDLER_HIT
+    assert [o.worker_id for o in least_loaded] == [0, 1]
+    assert least_loaded[1].tier is not Tier.HANDLER_HIT
 
 
 def outputs_of(trace, profiles, config):
-    result = run(trace, profiles, config)
     buffer = io.StringIO()
-    write_per_request_csv(result, buffer)
+    result = run(trace, profiles, config, sink=write_per_request_csv(buffer))
     return result.to_json(), buffer.getvalue()
 
 
@@ -260,8 +302,8 @@ def router_fixture(**config_overrides):
 def test_route_single_candidate_group():
     config = router_fixture(routing_policy=RoutingPolicy.LEAST_LOADED)
     profiles = [make_profile(f) for f in ("fn", "other", "foreign")]
-    result = run(make_trace((0, "foreign")), profiles, config)
-    assert [o.worker_id for o in result.outcomes] == [3]
+    outcomes = outcomes_of(make_trace((0, "foreign")), profiles, config)
+    assert [o.worker_id for o in outcomes] == [3]
 
 
 def test_route_affinity_beats_idleness():
@@ -342,9 +384,8 @@ def test_sweep_rejects_sizes_below_footprint():
 
 def test_per_request_csv_shape():
     prof, config = single_worker_setup()
-    result = run(make_trace((0, "fn"), (100, "fn")), [prof], config)
     buffer = io.StringIO()
-    write_per_request_csv(result, buffer)
+    run(make_trace((0, "fn"), (100, "fn")), [prof], config, sink=write_per_request_csv(buffer))
     lines = buffer.getvalue().splitlines()
     assert lines[0] == PER_REQUEST_CSV_HEADER
     assert len(lines) == 3
