@@ -51,8 +51,9 @@ def main():
 
     spec = SyntheticTraceSpec(args.functions, args.requests, args.zipf, 3_600_000, args.seed)
     trace = generate_synthetic(spec)
-    profiles = synthesize_profiles(trace, catalog_size=80, deps_per_function=(1, 6),
-                                   package_zipf_exponent=1.0, seed=args.seed)
+    profiles = synthesize_profiles(trace.function_ids, catalog_size=80,
+                                   deps_per_function=(1, 6), package_zipf_exponent=1.0,
+                                   seed=args.seed)
     graph = build_dependency_graph(profiles)
     popularity = dict(request_counts(trace))
 

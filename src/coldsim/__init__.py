@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .traces import (
     FunctionProfile,
-    RequestRecord,
     SkewSummary,
     SyntheticTraceSpec,
     Trace,
@@ -57,7 +56,6 @@ __all__ = [
     "LatencyModel",
     "LocalityGroup",
     "Partition",
-    "RequestRecord",
     "RoutingPolicy",
     "SimConfig",
     "SimResult",

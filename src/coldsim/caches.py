@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import AbstractSet, Mapping
 
@@ -47,25 +47,13 @@ class LatencyModel:
     shutdown_ms: int = 6
 
     def __post_init__(self) -> None:
-        for name, value in self.to_dict().items():
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
         if self.fork_ms > self.sandbox_create_ms:
             raise ValueError("fork_ms must not exceed sandbox_create_ms")
         if self.unpause_ms > self.fork_ms:
             raise ValueError("unpause_ms must not exceed fork_ms")
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "code_load_ms": self.code_load_ms,
-            "download_ms_per_package": self.download_ms_per_package,
-            "install_ms_per_package": self.install_ms_per_package,
-            "import_ms_per_package": self.import_ms_per_package,
-            "sandbox_create_ms": self.sandbox_create_ms,
-            "fork_ms": self.fork_ms,
-            "unpause_ms": self.unpause_ms,
-            "shutdown_ms": self.shutdown_ms,
-        }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "LatencyModel":

@@ -41,7 +41,7 @@ from .traces import (
     request_counts,
     save_profiles,
     save_trace,
-    synthesize_profiles_for_ids,
+    synthesize_profiles,
 )
 
 _SIZE_RE = re.compile(r"^\s*(\d+)\s*(B|KIB|MIB|GIB|TIB)?\s*$", re.IGNORECASE)
@@ -138,7 +138,7 @@ def cmd_generate(args) -> int:
     )
     trace = generate_synthetic(spec)
     universe = [function_name(r, args.functions) for r in range(args.functions)]
-    profiles = synthesize_profiles_for_ids(
+    profiles = synthesize_profiles(
         universe,
         catalog_size=args.catalog_size,
         deps_per_function=(args.deps_min, args.deps_max),

@@ -279,7 +279,7 @@ def run(
             raise ValueError(f"duplicate function_id {p.function_id!r}")
         catalog[p.function_id] = p
     group_of = config.partition.function_to_group()
-    function_ids = sorted(trace.function_ids())
+    function_ids = sorted(set(trace.function_ids))
     for fid in function_ids:
         if fid not in catalog:
             raise ValueError(f"no profile for function {fid!r}")
@@ -304,8 +304,7 @@ def run(
     # a breakdown depends only on these probe features, so equal ones are shared
     breakdowns: dict[tuple, LatencyBreakdown] = {}
     tally: Counter[tuple] = Counter()  # requests per breakdown key, whose first item is the tier
-    for rec in trace.records:
-        now, fid = rec
+    for now, fid in zip(trace.timestamps_ms, trace.function_ids):
         profile, candidates, footprint = per_function[fid]
         worker = _select_worker(candidates, fid, now, policy, keep_alive)
         start = max(now, worker.busy_until_ms)
@@ -350,19 +349,19 @@ def simple_lru_hit_rate(trace: Trace, capacity_entries: int) -> float:
     """Hit rate of one global LRU keyed by function id, counted in entries."""
     if capacity_entries < 1:
         raise ValueError("capacity_entries must be >= 1")
-    if not trace.records:
+    if not trace.function_ids:
         raise ValueError("empty trace")
     cache: OrderedDict[str, None] = OrderedDict()
     hits = 0
-    for rec in trace.records:
-        if rec.function_id in cache:
+    for fid in trace.function_ids:
+        if fid in cache:
             hits += 1
-            cache.move_to_end(rec.function_id)
+            cache.move_to_end(fid)
         else:
-            cache[rec.function_id] = None
+            cache[fid] = None
             if len(cache) > capacity_entries:
                 cache.popitem(last=False)
-    return hits / len(trace.records)
+    return hits / len(trace)
 
 
 def sweep_cache_sizes(

@@ -3,17 +3,20 @@ popularity-skew analysis.
 
 The ingestion boundary is a normalized CSV (``timestamp_ms,function_id``);
 converting platform-native trace archives into this format is left to
-external tooling. All operations here are pure and a ``Trace`` is immutable
-after construction.
+external tooling. A ``Trace`` holds that CSV's two columns as two
+equal-length tuples, so it keeps no object per row and one string per
+distinct function id. All operations here are pure and a ``Trace`` is
+immutable after construction.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -27,34 +30,34 @@ class TraceParseError(ValueError):
     """Malformed normalized trace or profile CSV."""
 
 
-class RequestRecord(NamedTuple):
-    timestamp_ms: int
-    function_id: str
-
-
 @dataclass(frozen=True)
 class Trace:
-    """Time-ordered sequence of invocation events; it keeps no record of its source."""
+    """Invocation events in time order, as two equal-length columns.
 
-    records: tuple[RequestRecord, ...]
+    Row ``i`` is a request for ``function_ids[i]`` at ``timestamps_ms[i]``.
+    Timestamps are non-negative and non-decreasing and ids are non-empty.
+    The trace keeps no record of its source.
+    """
+
+    timestamps_ms: tuple[int, ...]
+    function_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        prev = 0
-        for rec in self.records:
-            if rec.timestamp_ms < 0:
-                raise ValueError("timestamp_ms must be >= 0")
-            if rec.timestamp_ms < prev:
-                raise ValueError("trace records must be sorted by timestamp_ms")
-            if not rec.function_id:
-                raise ValueError("function_id must be non-empty")
-            prev = rec.timestamp_ms
+        stamps = tuple(self.timestamps_ms)
+        ids = tuple(self.function_ids)
+        object.__setattr__(self, "timestamps_ms", stamps)
+        object.__setattr__(self, "function_ids", ids)
+        if len(stamps) != len(ids):
+            raise ValueError("timestamps_ms and function_ids must have equal lengths")
+        if min(stamps, default=0) < 0:
+            raise ValueError("timestamp_ms must be >= 0")
+        if not all(map(operator.le, stamps, stamps[1:])):
+            raise ValueError("trace rows must be sorted by timestamp_ms")
+        if not all(ids):
+            raise ValueError("function_id must be non-empty")
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def function_ids(self) -> set[str]:
-        return {rec.function_id for rec in self.records}
+        return len(self.timestamps_ms)
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,9 @@ def parse_trace(stream: IO[str] | Iterable[str]) -> Trace:
         raise TraceParseError("line 1: missing header")
     if header.strip() != TRACE_HEADER:
         raise TraceParseError(f"line 1: expected header {TRACE_HEADER!r}")
-    records = []
+    stamps: list[int] = []
+    ids: list[str] = []
+    intern = {}.setdefault  # one string object per distinct function id
     for lineno, line in enumerate(lines, start=2):
         row = line.rstrip("\r\n")
         parts = row.split(",")
@@ -149,9 +154,10 @@ def parse_trace(stream: IO[str] | Iterable[str]) -> Trace:
             raise TraceParseError(f"line {lineno}: timestamp_ms must be >= 0")
         if not function_id:
             raise TraceParseError(f"line {lineno}: empty function_id")
-        records.append(RequestRecord(ts, function_id))
-    records.sort(key=lambda rec: rec.timestamp_ms)  # stable: ties keep file order
-    return Trace(tuple(records))
+        stamps.append(ts)
+        ids.append(intern(function_id, function_id))
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable: ties keep file order
+    return Trace(tuple(map(stamps.__getitem__, order)), tuple(map(ids.__getitem__, order)))
 
 
 def load_trace(path) -> Trace:
@@ -161,8 +167,8 @@ def load_trace(path) -> Trace:
 
 def write_trace(trace: Trace, stream: IO[str]) -> None:
     stream.write(TRACE_HEADER + "\n")
-    for rec in trace.records:
-        stream.write(f"{rec.timestamp_ms},{rec.function_id}\n")
+    for ts, function_id in zip(trace.timestamps_ms, trace.function_ids):
+        stream.write(f"{ts},{function_id}\n")
 
 
 def save_trace(trace: Trace, path) -> None:
@@ -199,15 +205,12 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> Trace:
     ranks = np.searchsorted(cdf, rng.random(spec.num_requests), side="right")
     stamps = np.sort(rng.integers(0, spec.duration_ms, size=spec.num_requests))
     names = [function_name(r, spec.num_functions) for r in range(spec.num_functions)]
-    records = tuple(
-        RequestRecord(int(ts), names[rank]) for ts, rank in zip(stamps, ranks)
-    )
-    return Trace(records)
+    return Trace(tuple(stamps.tolist()), tuple(map(names.__getitem__, ranks.tolist())))
 
 
 def request_counts(trace: Trace) -> Counter:
     """Requests per function_id."""
-    return Counter(rec.function_id for rec in trace.records)
+    return Counter(trace.function_ids)
 
 
 def popularity_cdf(trace: Trace, targets: Sequence[float] = DEFAULT_THRESHOLD_TARGETS) -> SkewSummary:
@@ -216,14 +219,14 @@ def popularity_cdf(trace: Trace, targets: Sequence[float] = DEFAULT_THRESHOLD_TA
     Ties in request count are broken by function_id ascending. Threshold
     comparisons are exact (no float accumulation error at the boundary).
     """
-    if not trace.records:
+    if not trace.function_ids:
         raise ValueError("empty trace")
     for t in targets:
         if not 0.0 < t <= 1.0:
             raise ValueError(f"threshold target must be in (0, 1]: {t}")
     counts = request_counts(trace)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    total = len(trace.records)
+    total = len(trace)
     n = len(ranked)
     pending = sorted(set(targets))
     points: list[tuple[float, float]] = []
@@ -246,7 +249,7 @@ def package_name(index: int, catalog_size: int) -> str:
 
 
 def synthesize_profiles(
-    trace: Trace,
+    function_ids: Iterable[str],
     catalog_size: int,
     deps_per_function: tuple[int, int] = (1, 5),
     package_zipf_exponent: float = 1.0,
@@ -255,38 +258,17 @@ def synthesize_profiles(
     code_size_kb: int = 500,
     exec_duration_ms: int = 63,
 ) -> list[FunctionProfile]:
-    """Build one profile per distinct function in the trace.
+    """Build one profile per distinct function id, in id order.
 
-    Public traces carry no dependency lists, so dependencies are drawn from
-    a synthetic catalog: per-function dependency counts are uniform over
+    ``function_ids`` may repeat ids, as a trace's column does. Public traces
+    carry no dependency lists, so dependencies are drawn from a synthetic
+    catalog: per-function dependency counts are uniform over
     ``deps_per_function`` and packages are sampled without replacement with
     Zipf-distributed popularity. Deterministic under a fixed seed.
     """
-    if not trace.records:
-        raise ValueError("empty trace")
-    return synthesize_profiles_for_ids(
-        sorted(trace.function_ids()),
-        catalog_size,
-        deps_per_function,
-        package_zipf_exponent,
-        seed,
-        runtime=runtime,
-        code_size_kb=code_size_kb,
-        exec_duration_ms=exec_duration_ms,
-    )
-
-
-def synthesize_profiles_for_ids(
-    function_ids: Sequence[str],
-    catalog_size: int,
-    deps_per_function: tuple[int, int] = (1, 5),
-    package_zipf_exponent: float = 1.0,
-    seed: int = 0,
-    runtime: str = "python",
-    code_size_kb: int = 500,
-    exec_duration_ms: int = 63,
-) -> list[FunctionProfile]:
-    """Profile synthesis over an explicit function universe, id-sorted."""
+    distinct = sorted(set(function_ids))
+    if not distinct:
+        raise ValueError("no function ids to profile")
     if catalog_size < 1:
         raise ValueError("catalog_size must be >= 1")
     lo, hi = deps_per_function
@@ -298,7 +280,7 @@ def synthesize_profiles_for_ids(
     mass = zipf_mass(catalog_size, package_zipf_exponent)
     names = [package_name(i, catalog_size) for i in range(catalog_size)]
     profiles = []
-    for function_id in sorted(set(function_ids)):
+    for function_id in distinct:
         k = int(rng.integers(lo, hi + 1))
         if k:
             picks = rng.choice(catalog_size, size=k, replace=False, p=mass)

@@ -33,7 +33,6 @@ from coldsim.locality import (
 from coldsim.sim import simple_lru_hit_rate, sweep_cache_sizes
 from coldsim.traces import (
     FunctionProfile,
-    RequestRecord,
     SyntheticTraceSpec,
     Trace,
     generate_synthetic,
@@ -73,7 +72,7 @@ def test_criterion_01_lru_oracle_equivalence():
             sequence = rnd.choices(population, k=1000)
         else:
             sequence = rnd.choices(population, weights=zipf_weights, k=1000)
-        trace = Trace(tuple(RequestRecord(i, f) for i, f in enumerate(sequence)))
+        trace = Trace(tuple(range(len(sequence))), tuple(sequence))
         for capacity in range(1, 11):
             assert simple_lru_hit_rate(trace, capacity) == reference_lru_hit_rate(
                 sequence, capacity
@@ -126,7 +125,7 @@ def test_criterion_02_skew_reproduction(tmp_path, capsys):
 
 
 def test_criterion_03_sweep_monotonicity_and_saturation(big_trace):
-    distinct = len(big_trace.function_ids())
+    distinct = len(set(big_trace.function_ids))
     total = len(big_trace)
     sizes = [FOOTPRINT, 4 * FOOTPRINT, 64 * FOOTPRINT, distinct * FOOTPRINT, (distinct + 100) * FOOTPRINT]
     started = time.monotonic()

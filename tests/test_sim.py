@@ -23,7 +23,6 @@ from coldsim.sim import (
 from coldsim.caches import LatencyModel, Tier
 from coldsim.traces import (
     FunctionProfile,
-    RequestRecord,
     SyntheticTraceSpec,
     Trace,
     generate_synthetic,
@@ -47,7 +46,7 @@ def make_profile(fid, deps=(), runtime="python", exec_ms=63):
 
 
 def make_trace(*stamped_ids):
-    return Trace(tuple(RequestRecord(ts, fid) for ts, fid in stamped_ids))
+    return Trace(tuple(ts for ts, _ in stamped_ids), tuple(fid for _, fid in stamped_ids))
 
 
 def outcomes_of(trace, profiles, config):
@@ -104,7 +103,7 @@ def test_infinite_keep_alive_reduces_to_capacity_lru():
         routing_policy=RoutingPolicy.LEAST_LOADED,
     )
     sequence = [rnd.choice(ids) for _ in range(600)]
-    trace = Trace(tuple(RequestRecord(i, f) for i, f in enumerate(sequence)))
+    trace = Trace(tuple(range(len(sequence))), tuple(sequence))
     outcomes = outcomes_of(trace, profiles, config)
     expected = reference_lru_hits(sequence, 3)
     assert [o.tier is Tier.HANDLER_HIT for o in outcomes] == expected
@@ -112,7 +111,7 @@ def test_infinite_keep_alive_reduces_to_capacity_lru():
 
 def test_empty_trace_yields_empty_result():
     prof, config = single_worker_setup()
-    result = run(Trace(()), [prof], config)
+    result = run(Trace((), ()), [prof], config)
     assert result.requests == 0
     assert result.mean_init_ms is None
     assert result.median_init_ms is None
@@ -132,12 +131,10 @@ def busy_scenario(seed=23, policy=RoutingPolicy.HANDLER_AFFINITY, requests=300):
     popularity = {p.function_id: rnd.randint(1, 50) for p in profiles}
     partition = partition_round_robin(profiles, 2, 6, popularity)
     stamps = sorted(rnd.randint(0, 4000) for _ in range(requests))
-    records = tuple(
-        RequestRecord(ts, rnd.choice(profiles).function_id) for ts in stamps
-    )
+    function_ids = tuple(rnd.choice(profiles).function_id for _ in stamps)
     config = SimConfig(partition=partition, routing_policy=policy, keep_alive_ms=2000,
                        handler_capacity_bytes=2 * 256 * MIB, import_max_nodes=8)
-    return Trace(records), profiles, config
+    return Trace(tuple(stamps), function_ids), profiles, config
 
 
 def test_run_is_deterministic():
@@ -163,7 +160,7 @@ def test_run_aggregates_match_sorting_oracle(seed, requests, policy):
 
 def test_run_without_sink_keeps_no_per_request_state():
     trace = generate_synthetic(SyntheticTraceSpec(40, 50_000, 1.1, 3_600_000, seed=5))
-    profiles = synthesize_profiles(trace, catalog_size=40, deps_per_function=(0, 5), seed=5)
+    profiles = synthesize_profiles(trace.function_ids, catalog_size=40, deps_per_function=(0, 5), seed=5)
     config = SimConfig(partition=partition_round_robin(profiles, 2, 4, request_counts(trace)))
     tracemalloc.start()
     try:
@@ -334,7 +331,7 @@ def test_simple_lru_examples():
 
 def test_simple_lru_errors():
     with pytest.raises(ValueError, match="empty trace"):
-        simple_lru_hit_rate(Trace(()), 1)
+        simple_lru_hit_rate(Trace((), ()), 1)
     with pytest.raises(ValueError, match="capacity_entries"):
         simple_lru_hit_rate(make_trace((0, "A")), 0)
 
@@ -343,7 +340,7 @@ def test_simple_lru_matches_reference_oracle():
     rnd = random.Random(8)
     for _ in range(30):
         sequence = [f"f{rnd.randint(0, 49)}" for _ in range(1000)]
-        trace = Trace(tuple(RequestRecord(i, f) for i, f in enumerate(sequence)))
+        trace = Trace(tuple(range(len(sequence))), tuple(sequence))
         for capacity in range(1, 11):
             assert simple_lru_hit_rate(trace, capacity) == reference_lru_hit_rate(
                 sequence, capacity
@@ -368,7 +365,7 @@ def test_sweep_capacity_is_size_over_footprint():
 def test_sweep_sorts_sizes_and_is_monotone():
     rnd = random.Random(44)
     sequence = [f"f{rnd.randint(0, 29)}" for _ in range(2000)]
-    trace = Trace(tuple(RequestRecord(i, f) for i, f in enumerate(sequence)))
+    trace = Trace(tuple(range(len(sequence))), tuple(sequence))
     sizes = [4 * GIB, GIB, 2 * GIB, 256 * MIB]
     rows = sweep_cache_sizes(trace, sizes)
     assert [size for size, _ in rows] == sorted(sizes)

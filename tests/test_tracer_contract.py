@@ -98,3 +98,22 @@ def test_traced_sweep_replays_once_per_size(tracer_module, tmp_path):
     assert tracer.span_count("sim.sweep_cache_sizes") == 1
     # the sweep reaches the replay through the sim module attribute the tracer wraps
     assert tracer.span_count("sim.lru_replay") == len(sizes)
+
+
+def test_traced_load_counts_every_row(tracer_module, tmp_path):
+    trace = tmp_path / "trace.csv"
+    assert cli.main([
+        "generate", "--quiet", "--functions", "40", "--requests", "2000",
+        "--duration", "600000", "--seed", "3",
+        "--out", str(trace), "--profiles-out", str(tmp_path / "profiles.csv"),
+    ]) == 0
+    rows = len(trace.read_text().splitlines()) - 1  # minus the header
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    try:
+        assert cli.main(["analyze", str(trace), "--quiet", "--out", str(tmp_path / "skew.json")]) == 0
+    finally:
+        tracer.uninstall()
+    # the tracer counts rows by len() of what load_trace returns
+    assert rows == 2000
+    assert tracer.counts["traces.rows_parsed"] == rows

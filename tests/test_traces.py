@@ -1,4 +1,6 @@
 import io
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -6,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coldsim.traces import (
-    RequestRecord,
     SyntheticTraceSpec,
     Trace,
     TraceParseError,
@@ -22,13 +23,13 @@ from coldsim.traces import (
 
 
 def trace_of(*function_ids: str) -> Trace:
-    return Trace(tuple(RequestRecord(i, f) for i, f in enumerate(function_ids)))
+    return Trace(tuple(range(len(function_ids))), function_ids)
 
 
 def test_parse_sorts_stably_by_timestamp():
     text = "timestamp_ms,function_id\n5,c\n1,a\n1,b\n"
     trace = parse_trace(io.StringIO(text))
-    assert [(r.timestamp_ms, r.function_id) for r in trace.records] == [
+    assert list(zip(trace.timestamps_ms, trace.function_ids)) == [
         (1, "a"),
         (1, "b"),
         (5, "c"),
@@ -72,25 +73,54 @@ def test_parse_errors_name_the_line(row, fragment):
     )
 )
 def test_write_then_parse_is_identity(pairs):
-    records = tuple(
-        RequestRecord(ts, fid) for ts, fid in sorted(pairs, key=lambda p: p[0])
-    )
-    trace = Trace(records)
+    ordered = sorted(pairs, key=lambda p: p[0])
+    trace = Trace(tuple(ts for ts, _ in ordered), tuple(fid for _, fid in ordered))
     buffer = io.StringIO()
     write_trace(trace, buffer)
     reparsed = parse_trace(io.StringIO(buffer.getvalue()))
-    assert reparsed.records == trace.records
+    assert reparsed == trace
+
+
+def test_parse_keeps_no_per_row_objects():
+    rnd = random.Random(6)
+    rows = [f"{1000 * i},fn{rnd.randrange(40)}" for i in range(50_000)]
+    rnd.shuffle(rows)  # unsorted, so the parse also sorts
+    text = "\n".join(["timestamp_ms,function_id", *rows]) + "\n"
+    tracemalloc.start()
+    try:
+        trace = parse_trace(io.StringIO(text))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 50_000
+    # two tuple slots and one timestamp int per row; a per-row object costs far more
+    assert retained / len(trace) < 64, f"{retained / len(trace):.1f} bytes per row"
+    # each distinct function id is one shared string object
+    assert len({id(f) for f in trace.function_ids}) == len(set(trace.function_ids)) == 40
 
 
 def test_unsorted_records_rejected():
     with pytest.raises(ValueError, match="sorted"):
-        Trace((RequestRecord(5, "a"), RequestRecord(1, "b")))
+        Trace((5, 1), ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "stamps,ids,fragment",
+    [
+        ((0, 1), ("a",), "equal lengths"),
+        ((-1, 0), ("a", "b"), ">= 0"),
+        ((0, 1), ("a", ""), "non-empty"),
+    ],
+)
+def test_malformed_columns_rejected(stamps, ids, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Trace(stamps, ids)
 
 
 def test_generate_synthetic_is_deterministic():
     spec = SyntheticTraceSpec(20, 500, 1.2, 60_000, seed=42)
     first, second = generate_synthetic(spec), generate_synthetic(spec)
-    assert first.records == second.records
+    assert first == second
     out1, out2 = io.StringIO(), io.StringIO()
     write_trace(first, out1)
     write_trace(second, out2)
@@ -146,7 +176,7 @@ def test_popularity_cdf_rank_ties_break_by_function_id():
 
 def test_popularity_cdf_empty_trace_errors():
     with pytest.raises(ValueError, match="empty trace"):
-        popularity_cdf(Trace(()))
+        popularity_cdf(Trace((), ()))
 
 
 def test_popularity_cdf_custom_targets():
@@ -185,22 +215,22 @@ def test_higher_zipf_exponent_never_raises_coverage_threshold():
 
 def test_synthesize_profiles_zero_range_gives_empty_deps():
     trace = trace_of("a", "b", "c")
-    for profile in synthesize_profiles(trace, 50, deps_per_function=(0, 0), seed=1):
+    for profile in synthesize_profiles(trace.function_ids, 50, deps_per_function=(0, 0), seed=1):
         assert profile.dependencies == frozenset()
 
 
 def test_synthesize_profiles_deterministic():
     trace = trace_of("a", "b", "c", "a")
-    first = synthesize_profiles(trace, 50, (1, 5), 1.0, seed=9)
-    second = synthesize_profiles(trace, 50, (1, 5), 1.0, seed=9)
+    first = synthesize_profiles(trace.function_ids, 50, (1, 5), 1.0, seed=9)
+    second = synthesize_profiles(trace.function_ids, 50, (1, 5), 1.0, seed=9)
     assert first == second
     assert [p.function_id for p in first] == ["a", "b", "c"]
 
 
 def test_synthesize_profiles_popular_package_beats_median():
     ids = [f"g{i:04d}" for i in range(1000)]
-    trace = Trace(tuple(RequestRecord(i, fid) for i, fid in enumerate(ids)))
-    profiles = synthesize_profiles(trace, 100, (1, 5), 1.0, seed=4)
+    trace = Trace(tuple(range(len(ids))), tuple(ids))
+    profiles = synthesize_profiles(trace.function_ids, 100, (1, 5), 1.0, seed=4)
     membership = Counter()
     for profile in profiles:
         membership.update(profile.dependencies)
@@ -210,12 +240,12 @@ def test_synthesize_profiles_popular_package_beats_median():
 
 def test_synthesize_profiles_range_exceeding_catalog_errors():
     with pytest.raises(ValueError, match="catalog"):
-        synthesize_profiles(trace_of("a"), 3, deps_per_function=(1, 4))
+        synthesize_profiles(trace_of("a").function_ids, 3, deps_per_function=(1, 4))
 
 
 def test_profiles_csv_roundtrip():
     trace = trace_of("a", "b")
-    profiles = synthesize_profiles(trace, 30, (0, 3), 1.0, seed=2)
+    profiles = synthesize_profiles(trace.function_ids, 30, (0, 3), 1.0, seed=2)
     buffer = io.StringIO()
     write_profiles(profiles, buffer)
     assert parse_profiles(io.StringIO(buffer.getvalue())) == profiles
