@@ -1,10 +1,12 @@
-"""Byte-identity guard for the simulation's outputs.
+"""Byte-identity guard for the simulation's and the sweep's outputs.
 
 A small seeded synthetic workload is simulated under several configurations
 and the SHA-256 of the result JSON and of the per-request CSV is pinned.
 The digests were computed with the straightforward implementation (full
 queue rescans, whole-tree import scans), so any optimisation of ``run`` or
-of the cache tiers must reproduce its outputs exactly.
+of the cache tiers must reproduce its outputs exactly. The cache-size sweep
+of the same trace is pinned the same way, with a digest computed when every
+size was a separate ``OrderedDict`` LRU replay.
 """
 
 import hashlib
@@ -13,7 +15,14 @@ import io
 import pytest
 
 from coldsim.locality import partition_round_robin
-from coldsim.sim import RoutingPolicy, SimConfig, run, write_per_request_csv
+from coldsim.sim import (
+    DEFAULT_FOOTPRINT_BYTES,
+    RoutingPolicy,
+    SimConfig,
+    run,
+    sweep_cache_sizes,
+    write_per_request_csv,
+)
 from coldsim.traces import (
     SyntheticTraceSpec,
     generate_synthetic,
@@ -66,3 +75,16 @@ def test_simulation_outputs_are_byte_identical(workload, case):
     result = run(trace, profiles, config, sink=write_per_request_csv(buffer))
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == json_digest
     assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == csv_digest
+
+
+# capacities in entries: small ones, the distinct-id count minus one, one above
+# it (the trace has 300 distinct ids), a duplicate, in no particular order
+SWEEP_ENTRIES = (64, 1, 8, 3, 301, 2, 299, 5, 8)
+SWEEP_DIGEST = "c42e6be5e76e9f604a1c4f7f5c5f319bbc3a71882d5fbba43a1434aa784f98d5"
+
+
+def test_sweep_rows_are_byte_identical(workload):
+    trace = workload[0]
+    rows = sweep_cache_sizes(trace, [e * DEFAULT_FOOTPRINT_BYTES for e in SWEEP_ENTRIES])
+    text = "".join(f"{size},{rate!r}\n" for size, rate in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGEST
