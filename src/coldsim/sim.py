@@ -14,15 +14,20 @@ sink, such as the per-request CSV writer, as each request is simulated.
 
 ``simple_lru_hit_rate`` and ``sweep_cache_sizes`` implement the simplified
 evaluation model: a single global LRU keyed by function id, bypassing
-workers and groups entirely. The sweep replays the trace once per size.
+workers and groups entirely. LRU has the inclusion property, so one pass
+over the trace counts each re-reference by its stack distance (the number
+of distinct ids used since that id's last use), and an LRU of ``c`` entries
+hits exactly the re-references at distance below ``c``. The pass keeps the
+stack of the largest requested cache only: an id that falls off it misses
+at every requested size.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
-from collections import Counter, OrderedDict, deque
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -345,23 +350,38 @@ def run(
     return _summarize((key[0], breakdowns[key].total_ms, count) for key, count in tally.items())
 
 
+def _stack_distance_counts(function_ids: Sequence[str], depth: int) -> list[int]:
+    """Re-references counted by LRU stack distance, for distances below ``depth``.
+
+    ``counts[d]`` is the number of accesses whose id was last used ``d``
+    distinct ids ago. ``times`` holds, ascending, the last-use positions of
+    the ``depth`` most recently used ids; every other id's last use is
+    older than ``times[0]``. ``counts`` grows with ``times``, so memory is
+    bounded by the distinct ids, not by ``depth``.
+    """
+    last: dict[str, int] = {}
+    times: list[int] = []
+    counts: list[int] = []
+    for now, fid in enumerate(function_ids):
+        prev = last.get(fid)
+        if prev is not None and prev >= times[0]:
+            k = bisect_left(times, prev)
+            counts[len(times) - 1 - k] += 1
+            del times[k]
+        elif len(times) == depth:
+            del times[0]  # that id has fallen out of the largest cache
+        else:
+            counts.append(0)
+        times.append(now)
+        last[fid] = now
+    return counts
+
+
 def simple_lru_hit_rate(trace: Trace, capacity_entries: int) -> float:
     """Hit rate of one global LRU keyed by function id, counted in entries."""
     if capacity_entries < 1:
         raise ValueError("capacity_entries must be >= 1")
-    if not trace.function_ids:
-        raise ValueError("empty trace")
-    cache: OrderedDict[str, None] = OrderedDict()
-    hits = 0
-    for fid in trace.function_ids:
-        if fid in cache:
-            hits += 1
-            cache.move_to_end(fid)
-        else:
-            cache[fid] = None
-            if len(cache) > capacity_entries:
-                cache.popitem(last=False)
-    return hits / len(trace)
+    return sweep_cache_sizes(trace, [capacity_entries], footprint_bytes=1)[0][1]
 
 
 def sweep_cache_sizes(
@@ -371,11 +391,19 @@ def sweep_cache_sizes(
 ) -> list[tuple[int, float]]:
     """Global-LRU hit rate per cache size, entries = size // footprint.
 
-    Rows are sorted ascending by size.
+    Rows are sorted ascending by size. The trace is read once, whatever the
+    number of sizes.
     """
     if footprint_bytes < 1:
         raise ValueError("footprint_bytes must be >= 1")
     for size in sizes_bytes:
         if size < footprint_bytes:
             raise ValueError(f"cache size {size} smaller than footprint {footprint_bytes}")
-    return [(size, simple_lru_hit_rate(trace, size // footprint_bytes)) for size in sorted(sizes_bytes)]
+    if not sizes_bytes:
+        return []
+    if not trace.function_ids:
+        raise ValueError("empty trace")
+    counts = _stack_distance_counts(trace.function_ids, max(sizes_bytes) // footprint_bytes)
+    hits = list(accumulate(counts, initial=0))  # hits[c]: hits of a c-entry LRU, c <= len(counts)
+    n = len(trace)
+    return [(size, hits[min(size // footprint_bytes, len(counts))] / n) for size in sorted(sizes_bytes)]

@@ -379,6 +379,79 @@ def test_sweep_rejects_sizes_below_footprint():
         sweep_cache_sizes(trace, [100 * MIB], footprint_bytes=256 * MIB)
 
 
+def _uniform(rnd, ids, n):
+    return [rnd.choice(ids) for _ in range(n)]
+
+
+def _zipf(rnd, ids, n):
+    return rnd.choices(ids, weights=[1.0 / (rank + 1) for rank in range(len(ids))], k=n)
+
+
+def _cyclic(rnd, ids, n):
+    start = rnd.randrange(len(ids))
+    return [ids[(start + i) % len(ids)] for i in range(n)]
+
+
+def _cyclic_with_hot_id(rnd, ids, n):
+    # every other access is the hot id, so some re-references hit even when
+    # the largest cache is smaller than the cycle
+    return [ids[0] if i % 2 else ids[1 + (i // 2) % (len(ids) - 1)] for i in range(n)]
+
+
+@pytest.mark.parametrize("draw", [_uniform, _zipf, _cyclic, _cyclic_with_hot_id])
+@pytest.mark.parametrize("capped", [False, True], ids=["all-sizes", "largest-below-distinct"])
+def test_sweep_matches_reference_oracle_at_every_size(draw, capped):
+    rnd = random.Random(f"{draw.__name__}-{capped}")
+    for trial in range(4):
+        ids = [f"f{i}" for i in range(rnd.randint(2, 30))]
+        sequence = draw(rnd, ids, 600)
+        distinct = len(set(sequence))
+        top = max(1, distinct // 2) if capped else distinct + 3
+        capacities = list(range(1, top + 1)) + rnd.sample(range(1, top + 1), min(3, top))
+        rnd.shuffle(capacities)
+        trace = Trace(tuple(range(len(sequence))), tuple(sequence))
+        rows = sweep_cache_sizes(trace, capacities, footprint_bytes=1)
+        assert rows == [(c, reference_lru_hit_rate(sequence, c)) for c in sorted(capacities)]
+
+
+def test_sweep_of_no_sizes_is_empty():
+    assert sweep_cache_sizes(make_trace((0, "A")), []) == []
+    assert sweep_cache_sizes(Trace((), ()), []) == []
+
+
+def test_sweep_of_empty_trace_errors():
+    with pytest.raises(ValueError, match="empty trace"):
+        sweep_cache_sizes(Trace((), ()), [GIB])
+
+
+def test_sweep_checks_sizes_before_reading_the_trace():
+    class UnreadableTrace:
+        @property
+        def function_ids(self):
+            raise AssertionError("the trace was read")
+
+        def __len__(self):
+            raise AssertionError("the trace was read")
+
+    with pytest.raises(ValueError, match="cache size 104857600 smaller than footprint 268435456"):
+        sweep_cache_sizes(UnreadableTrace(), [GIB, 100 * MIB], footprint_bytes=256 * MIB)
+
+
+def test_sweep_memory_is_bounded_by_distinct_ids_not_capacity():
+    rnd = random.Random(5)
+    sequence = [f"f{rnd.randint(0, 39)}" for _ in range(1000)]
+    trace = Trace(tuple(range(len(sequence))), tuple(sequence))
+    distinct = len(set(sequence))
+    tracemalloc.start()
+    try:
+        rows = sweep_cache_sizes(trace, [2**40], footprint_bytes=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == [(2**40, (len(sequence) - distinct) / len(sequence))]
+    assert peak < MIB, f"sweep peaked at {peak} bytes"
+
+
 def test_per_request_csv_shape():
     prof, config = single_worker_setup()
     buffer = io.StringIO()
