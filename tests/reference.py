@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 These are deliberately naive reimplementations (list-scan LRU, exhaustive
-set-partition search) kept separate from the code under test.
+set-partition search, row-by-row trace parse) kept separate from the code
+under test.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import statistics
 from itertools import combinations
 
 from coldsim.caches import Tier
+from coldsim.traces import TRACE_HEADER, Trace, TraceParseError
 
 
 class ReferenceLRU:
@@ -175,3 +177,35 @@ def reference_summary(outcomes) -> dict:
         p99_init_ms=float(init[max(0, math.ceil(0.99 * n) - 1)]),
         cold_start_fraction=1.0 - rates[Tier.HANDLER_HIT.value],
     )
+
+
+def reference_parse_trace(stream) -> Trace:
+    """Parse a normalized trace CSV one line at a time, interning each id on
+    first sight and sorting the rows stably by timestamp."""
+    lines = iter(stream)
+    header = next(lines, None)
+    if header is None:
+        raise TraceParseError("line 1: missing header")
+    if header.strip() != TRACE_HEADER:
+        raise TraceParseError(f"line 1: expected header {TRACE_HEADER!r}")
+    stamps: list[int] = []
+    ids: list[str] = []
+    intern = {}.setdefault
+    for lineno, line in enumerate(lines, start=2):
+        row = line.rstrip("\r\n")
+        parts = row.split(",")
+        if len(parts) != 2:
+            raise TraceParseError(f"line {lineno}: expected 2 columns, got {len(parts)}")
+        ts_text, function_id = parts
+        try:
+            ts = int(ts_text)
+        except ValueError:
+            raise TraceParseError(f"line {lineno}: timestamp_ms is not an integer: {ts_text!r}") from None
+        if ts < 0:
+            raise TraceParseError(f"line {lineno}: timestamp_ms must be >= 0")
+        if not function_id:
+            raise TraceParseError(f"line {lineno}: empty function_id")
+        stamps.append(ts)
+        ids.append(intern(function_id, function_id))
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)
+    return Trace(tuple(map(stamps.__getitem__, order)), tuple(map(ids.__getitem__, order)))

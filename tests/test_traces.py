@@ -1,13 +1,19 @@
+import hashlib
 import io
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from coldsim import traces
 from coldsim.traces import (
+    TRACE_HEADER,
+    FunctionProfile,
     SyntheticTraceSpec,
     Trace,
     TraceParseError,
@@ -20,6 +26,8 @@ from coldsim.traces import (
     write_profiles,
     write_trace,
 )
+
+from reference import reference_parse_trace
 
 
 def trace_of(*function_ids: str) -> Trace:
@@ -97,6 +105,129 @@ def test_parse_keeps_no_per_row_objects():
     assert retained / len(trace) < 64, f"{retained / len(trace):.1f} bytes per row"
     # each distinct function id is one shared string object
     assert len({id(f) for f in trace.function_ids}) == len(set(trace.function_ids)) == 40
+
+
+def parse_outcome(parse, text: str):
+    """The Trace a parse returns, or the message of the TraceParseError it raises."""
+    try:
+        return parse(io.StringIO(text))
+    except TraceParseError as exc:
+        return str(exc)
+
+
+HEX_IDS = st.binary(min_size=32, max_size=32).map(bytes.hex)  # hashed ids, as in Azure traces
+ODD_IDS = st.sampled_from(
+    ["fn-a", "f0001", "abcdefgh", "abcdefghi", "a b", " a", "a ", "é", "日本語の関数", "\ud800", "a\x00b", "a\rb", "\x00", "\x85"]
+)
+ANY_IDS = st.text(max_size=20)  # may hold commas, newlines, CRs, NULs, or be empty
+CANONICAL_STAMPS = st.one_of(
+    st.integers(0, 20).map(str),  # ties, so the sort must be stable
+    st.integers(0, 10**18 - 1).map(str),
+    st.integers(0, 10**6).map(lambda v: f"{v:018d}"),
+)
+ODD_STAMPS = st.one_of(
+    st.sampled_from(["", "x", "-1", "-0", " 12", "12 ", "+12", "1_000", "\u0663", "\uff11", "1e3", "0x1f", "1:5", "9?"]),
+    st.integers(10**18, 10**30).map(str),  # 19+ digits, some past int64
+    st.integers(0, 10**6).map(lambda v: "0" * 18 + str(v)),
+    st.integers(-(10**6), -1).map(str),
+)
+
+
+@st.composite
+def trace_texts(draw):
+    ids = draw(st.lists(st.one_of(HEX_IDS, ODD_IDS, ANY_IDS), min_size=1, max_size=6))
+    canonical_row = st.builds(lambda ts, fid: f"{ts},{fid}", CANONICAL_STAMPS, st.sampled_from(ids))
+    odd_row = st.one_of(
+        st.builds(lambda ts, fid: f"{ts},{fid}", ODD_STAMPS, st.sampled_from(ids)),
+        st.sampled_from(["", "1", ",", "1,", ",a", "1,a,b", "1,,a", "\r"]),
+    )
+    rows = draw(st.lists(st.one_of(canonical_row, canonical_row, canonical_row, odd_row), max_size=40))
+    endings = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r\r\n"]), min_size=len(rows), max_size=len(rows)))
+    body = "".join(row + end for row, end in zip(rows, endings))
+    if body and draw(st.booleans()):
+        body = body[:-1]  # no final newline
+    header = draw(st.sampled_from([TRACE_HEADER + "\n", TRACE_HEADER + "\r\n", TRACE_HEADER, "", "ts,id\n"]))
+    return header + body
+
+
+H = TRACE_HEADER + "\n"
+
+
+@given(trace_texts(), st.integers(1, 48))
+@example(H + "1,\x00\n", 48)  # a NUL id would pack like an empty one
+@example(H + "1,a\n2,a\x00\n", 48)  # and "a\x00" like "a"
+@example(H + "1,a\r\n2,a\n", 48)
+@example(H + "9223372036854775808,a\n9999999999999999999,b\n", 48)  # 19 digits, past int64
+@example(H + "12:30,a\n", 48)  # ':' has a digit's high nibble
+@example(H + "+1,a\n2,a\n3,b\n", 1)  # an id seen by the row loop, then by numpy
+def test_parse_matches_row_by_row_reference(text, block):
+    with mock.patch.object(traces, "BLOCK", block):  # rows straddle block boundaries
+        got = parse_outcome(parse_trace, text)
+    want = parse_outcome(reference_parse_trace, text)
+    assert got == want
+    if isinstance(got, Trace):
+        assert all(type(ts) is int for ts in got.timestamps_ms)
+        assert all(type(fid) is str for fid in got.function_ids)
+        # each distinct function id is one shared string object
+        assert len({id(f) for f in got.function_ids}) == len(set(got.function_ids))
+
+
+def test_canonical_rows_skip_the_row_loop():
+    hex_id = hashlib.sha256(b"fn").hexdigest()
+    ids = ["f0001", hex_id, "日本語の関数", "abcdefgh", "abcdefghi", "a b"]
+    rows = [f"{ts},{ids[ts % len(ids)]}" for ts in (5, 0, 999_999_999_999_999_999, 5, 10**17, 3, 0)]
+    text = "\n".join([TRACE_HEADER, *rows])  # unsorted, no final newline
+    with mock.patch.object(traces, "_parse_rows", side_effect=AssertionError("row loop")):
+        got = parse_trace(io.StringIO(text))
+    assert got == reference_parse_trace(io.StringIO(text))
+
+
+def test_parse_sorts_many_ties_stably():
+    rnd = random.Random(3)
+    rows = [f"{rnd.randrange(5)},fn{i % 7}" for i in range(1_000)]
+    text = "\n".join([TRACE_HEADER, *rows]) + "\n"
+    assert parse_trace(io.StringIO(text)) == reference_parse_trace(io.StringIO(text))
+
+
+@pytest.mark.parametrize("ids", [["a", "b", "a", "c"], [hashlib.sha256(b"%d" % i).hexdigest() for i in (1, 2, 1)]])
+def test_parse_checks_that_rows_sharing_a_hash_share_an_id(ids):
+    text = TRACE_HEADER + "\n" + "".join(f"{ts},{fid}\n" for ts, fid in enumerate(ids))
+    with mock.patch.object(traces, "_MIX", np.uint64(0)):  # every id hashes alike
+        got = parse_trace(io.StringIO(text))
+    assert got == reference_parse_trace(io.StringIO(text))
+
+
+def test_parse_memory_stays_bounded_when_one_id_is_very_long():
+    # packing every row's id to the longest id's width would take 64 MB here
+    text = TRACE_HEADER + "\n" + "1,a\n" * 4_000 + "2," + "b" * 16_000 + "\n"
+    stream = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        trace = parse_trace(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 4_001
+    assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB peak"
+
+
+def test_parse_peak_memory_is_bounded_per_row():
+    rnd = random.Random(8)
+    ids = [hashlib.sha256(b"%d" % i).hexdigest() for i in range(2_000)]
+    rows = [f"{1000 * i},{rnd.choice(ids)}" for i in range(100_000)]
+    rnd.shuffle(rows)  # unsorted, so the parse also sorts
+    text = "\n".join([TRACE_HEADER, *rows]) + "\n"
+    stream = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        trace = parse_trace(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace == reference_parse_trace(io.StringIO(text))
+    # the Trace itself holds about 50 bytes per row; the text is 74 characters
+    # per row, so holding all of it, or any whole-file array, would exceed this
+    assert peak / len(trace) < 100, f"{peak / len(trace):.1f} peak bytes per row"
 
 
 def test_unsorted_records_rejected():
@@ -267,3 +398,18 @@ def test_parse_profiles_empty_deps_column():
     assert profiles[0].dependencies == frozenset()
     assert profiles[1].dependencies == frozenset({"x", "y"})
     assert profiles[1].runtime == "nodejs"
+
+
+@pytest.mark.parametrize("deps_text", ["numpy;", ";numpy", "a;;b", ";"])
+def test_parse_profiles_rejects_empty_dependency_names(deps_text):
+    header = "function_id,runtime,code_size_kb,exec_duration_ms,dependencies\n"
+    with pytest.raises(TraceParseError, match="line 3: dependency names must be non-empty"):
+        parse_profiles(io.StringIO(header + "a,python,1,1,x\n" + f"b,python,1,1,{deps_text}\n"))
+
+
+@pytest.mark.parametrize("deps", [{""}, {"", "x"}])
+def test_profile_with_an_empty_dependency_name_is_rejected(deps):
+    # write_profiles would write {""} as an empty column, which reads back as
+    # no dependencies, and {"", "x"} as "x;" or ";x"
+    with pytest.raises(ValueError, match="dependency names must be non-empty"):
+        FunctionProfile("a", dependencies=frozenset(deps))
