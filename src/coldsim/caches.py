@@ -1,6 +1,7 @@
 """Three cache tiers and the initialization-latency model.
 
-Tier 1 (handler): paused, fully initialized instances held in memory; a hit
+Tier 1 (handler): paused, fully initialized instances held in memory, in the
+order they paused, until capacity or keep-alive drops the oldest; a hit
 costs one unpause. Tier 2 (install): packages pre-installed on disk and
 mapped read-only into workers; a hit skips download and install. Tier 3
 (import): a tree of sleeping processes with progressively larger pre-imported
@@ -80,14 +81,22 @@ class LatencyBreakdown:
 
 
 class HandlerCache:
-    """LRU over paused function instances, bounded by total footprint bytes."""
+    """Paused function instances, bounded by total footprint bytes.
 
-    def __init__(self, capacity_bytes: int):
+    Each entry holds an instance's footprint and pause time. Pause times
+    start at 0 and never decrease, and an insert puts its entry last, so
+    least-recent order is pause order: capacity evicts from the front, and
+    the instances idle past ``keep_alive_ms`` (None: never) are a prefix.
+    """
+
+    def __init__(self, capacity_bytes: int, keep_alive_ms: int | None = None):
         if capacity_bytes < 1:
             raise ValueError("capacity_bytes must be >= 1")
         self.capacity_bytes = capacity_bytes
-        self._entries: OrderedDict[str, int] = OrderedDict()
+        self.keep_alive_ms = keep_alive_ms
+        self._entries: OrderedDict[str, tuple[int, int]] = OrderedDict()  # (footprint, paused_at_ms)
         self._used = 0
+        self._newest_ms = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -100,36 +109,42 @@ class HandlerCache:
         return self._used
 
     def entries(self) -> list[tuple[str, int]]:
-        """Entries in least- to most-recent order."""
-        return list(self._entries.items())
+        """(id, footprint) pairs in least- to most-recent order."""
+        return [(fid, footprint) for fid, (footprint, _) in self._entries.items()]
 
-    def lookup(self, function_id: str) -> bool:
-        """Hit refreshes recency; contents are otherwise unchanged."""
-        if function_id in self._entries:
-            self._entries.move_to_end(function_id)
-            return True
-        return False
+    def live(self, function_id: str, now_ms: int) -> bool:
+        """Whether an instance of ``function_id`` is held and not idle beyond keep-alive."""
+        entry = self._entries.get(function_id)
+        return entry is not None and (self.keep_alive_ms is None or now_ms - entry[1] <= self.keep_alive_ms)
 
-    def insert(self, function_id: str, footprint_bytes: int) -> list[str]:
-        """Insert or refresh at most-recent; return ids evicted, oldest first."""
+    def expire(self, now_ms: int) -> None:
+        """Drop the instances no longer live at ``now_ms``: a prefix, oldest first."""
+        if self.keep_alive_ms is None:
+            return
+        entries, cutoff = self._entries, now_ms - self.keep_alive_ms
+        while entries and next(iter(entries.values()))[1] < cutoff:
+            self._used -= entries.popitem(last=False)[1][0]
+
+    def insert(self, function_id: str, footprint_bytes: int, paused_at_ms: int = 0) -> list[str]:
+        """Pause or re-pause at most-recent; return ids evicted, oldest first."""
         if footprint_bytes < 0:
             raise ValueError("footprint_bytes must be >= 0")
         if footprint_bytes > self.capacity_bytes:
             raise ValueError("entry larger than cache")
-        if function_id in self._entries:
-            self._used -= self._entries.pop(function_id)
-        self._entries[function_id] = footprint_bytes
+        if paused_at_ms < self._newest_ms:
+            raise ValueError(f"paused_at_ms {paused_at_ms} is earlier than the last, {self._newest_ms}")
+        self._newest_ms = paused_at_ms
+        entries = self._entries
+        if function_id in entries:
+            self._used -= entries.pop(function_id)[0]
+        entries[function_id] = (footprint_bytes, paused_at_ms)
         self._used += footprint_bytes
         evicted = []
         while self._used > self.capacity_bytes:
-            victim, size = self._entries.popitem(last=False)
+            victim, (size, _) = entries.popitem(last=False)
             self._used -= size
             evicted.append(victim)
         return evicted
-
-    def remove(self, function_id: str) -> None:
-        if function_id in self._entries:
-            self._used -= self._entries.pop(function_id)
 
 
 class InstallCache:
@@ -365,11 +380,13 @@ def classify_request(
 ) -> CacheLookupResult:
     """Probe handler, then import tree, then install cache for one request.
 
-    Lookups carry their usual recency side effects; forking the chosen
-    import node (``touch``) is left to the caller, which knows the fork time.
-    Every handler hit returns the same (immutable) result object.
+    The handler probe is a membership test with no recency effect: the
+    caller refreshes the instance when it pauses it again. The install
+    lookup refreshes the packages it finds; forking the chosen import node
+    (``touch``) is left to the caller, which knows the fork time. Every
+    handler hit returns the same (immutable) result object.
     """
-    if handler.lookup(profile.function_id):
+    if profile.function_id in handler:
         return _HANDLER_HIT
     deps = profile.dependencies
     if imports is not None:

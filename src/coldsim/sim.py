@@ -3,9 +3,11 @@
 A run processes requests in timestamp order (ties keep trace order). Each
 request is routed to a worker in its function's locality group, classified
 against that worker's caches, charged the modeled initialization latency,
-and executed FIFO on the worker. Handler-cache insertion happens at request
-completion; keep-alive expiry is evaluated lazily when a worker is next
-touched. ``_select_worker`` is the only router. Nothing here draws random
+and executed FIFO on the worker. The function's instance is paused in the
+worker's handler cache at request completion. The handler cache alone
+decides keep-alive: routing asks it which instances are live at arrival, and
+it drops expired ones when the worker starts its next request.
+``_select_worker`` is the only router. Nothing here draws random
 numbers, so identical inputs always produce identical results.
 
 A run folds each request into the aggregates of its ``SimResult`` and keeps
@@ -103,21 +105,17 @@ class SimConfig:
 class Worker:
     """One simulated worker: private tier caches plus a FIFO request queue."""
 
-    __slots__ = (
-        "worker_id", "handler", "install", "imports",
-        "busy_until_ms", "_inflight", "_completed_at",
-    )
+    __slots__ = ("worker_id", "handler", "install", "imports", "busy_until_ms", "_inflight")
 
     def __init__(self, worker_id: int, config: SimConfig):
         self.worker_id = worker_id
-        self.handler = HandlerCache(config.handler_capacity_bytes)
+        self.handler = HandlerCache(config.handler_capacity_bytes, config.keep_alive_ms)
         self.install = InstallCache(config.install_capacity_bytes)
         self.imports = (
             ImportCacheTree(config.import_max_nodes) if config.import_max_nodes else None
         )
         self.busy_until_ms = 0
         self._inflight: deque[tuple[int, int]] = deque()  # (start, completion)
-        self._completed_at: dict[str, int] = {}
 
     def queue_len(self, now_ms: int) -> int:
         """Requests assigned but not yet started at ``now_ms``.
@@ -136,22 +134,12 @@ class Worker:
             return 0
         return len(inflight) - (inflight[0][0] <= now_ms)
 
-    def expire_handler(self, now_ms: int, keep_alive_ms: int | None) -> None:
-        if keep_alive_ms is None:
-            return
-        for function_id, done in list(self._completed_at.items()):
-            if now_ms - done > keep_alive_ms:
-                self.handler.remove(function_id)
-                del self._completed_at[function_id]
+    def expire_handler(self, now_ms: int) -> None:
+        self.handler.expire(now_ms)
 
     def begin(self, start_ms: int, completion_ms: int) -> None:
         self._inflight.append((start_ms, completion_ms))
         self.busy_until_ms = completion_ms
-
-    def note_completion(self, function_id: str, footprint_bytes: int, completion_ms: int) -> None:
-        for victim in self.handler.insert(function_id, footprint_bytes):
-            self._completed_at.pop(victim, None)
-        self._completed_at[function_id] = completion_ms
 
 
 class RequestOutcome(NamedTuple):
@@ -234,7 +222,6 @@ def _select_worker(
     function_id: str,
     now_ms: int,
     policy: RoutingPolicy,
-    keep_alive_ms: int | None,
 ) -> Worker:
     """Pick the worker for one request among its group's ``candidates``.
 
@@ -244,11 +231,8 @@ def _select_worker(
     ascending worker id.
     """
     if policy is RoutingPolicy.HANDLER_AFFINITY:
-        # _completed_at has exactly the handler cache's keys; the first live
-        # holder is the lowest-id one
         for w in candidates:
-            done = w._completed_at.get(function_id)
-            if done is not None and (keep_alive_ms is None or now_ms - done <= keep_alive_ms):
+            if w.handler.live(function_id, now_ms):
                 return w
     # shortest queue, then earliest busy_until_ms; ties keep the lowest id
     best = None
@@ -301,7 +285,6 @@ def run(
         )
         for fid in function_ids
     }
-    keep_alive = config.keep_alive_ms
     policy = config.routing_policy
     model = config.latency_model
     shutdown_ms = model.shutdown_ms
@@ -311,9 +294,9 @@ def run(
     tally: Counter[tuple] = Counter()  # requests per breakdown key, whose first item is the tier
     for now, fid in zip(trace.timestamps_ms, trace.function_ids):
         profile, candidates, footprint = per_function[fid]
-        worker = _select_worker(candidates, fid, now, policy, keep_alive)
+        worker = _select_worker(candidates, fid, now, policy)
         start = max(now, worker.busy_until_ms)
-        worker.expire_handler(start, keep_alive)
+        worker.expire_handler(start)
         probe = classify_request(profile, worker.handler, worker.install, worker.imports)
         key = (probe.tier, len(probe.cold), len(probe.preinstalled), probe.forked_node_id is not None)
         breakdown = breakdowns.get(key)
@@ -323,14 +306,14 @@ def run(
         exec_ms = profile.exec_duration_ms
         completion = start + breakdown.total_ms + exec_ms
         worker.begin(start, completion)
-        worker.note_completion(fid, footprint, completion)
+        worker.handler.insert(fid, footprint, completion)
         if probe.tier is not Tier.HANDLER_HIT:
             for pkg in sorted(probe.cold):
                 worker.install.insert(pkg, package_size)
             imports = worker.imports
             if imports is not None and probe.forked_node_id is not None:
                 imports.touch(probe.forked_node_id, start)
-                if profile.dependencies > imports.packages(probe.forked_node_id):
+                if probe.preinstalled or probe.cold:
                     imports.insert(probe.forked_node_id, profile.dependencies, start)
         if sink is not None:
             sink(

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 These are deliberately naive reimplementations (list-scan LRU, exhaustive
-set-partition search, row-by-row trace parse) kept separate from the code
-under test.
+set-partition search, row-by-row trace parse, a whole-run simulator built
+from list-scan parts) kept separate from the code under test.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import math
 import statistics
 from itertools import combinations
 
-from coldsim.caches import Tier
+from coldsim.caches import CacheLookupResult, Tier, init_latency
+from coldsim.sim import RequestOutcome, RoutingPolicy
 from coldsim.traces import TRACE_HEADER, Trace, TraceParseError
 
 
@@ -153,6 +154,139 @@ class ReferenceImportTree:
             leaves = [n for n in self.nodes if n != self.ROOT_ID and n not in parents]
             del self.nodes[min(leaves, key=lambda n: (self.nodes[n][3], -n))]
         return node_id
+
+
+class ReferenceHandlerTier:
+    """Paused instances as ``[function_id, footprint, paused_at_ms]`` items,
+    least recent first, bounded in bytes; expiry scans every item."""
+
+    def __init__(self, capacity_bytes: int, keep_alive_ms: int | None = None):
+        self.capacity_bytes = capacity_bytes
+        self.keep_alive_ms = keep_alive_ms
+        self.items: list[list] = []
+
+    def __contains__(self, function_id) -> bool:
+        return any(fid == function_id for fid, _, _ in self.items)
+
+    @property
+    def used_bytes(self) -> int:
+        return sum(size for _, size, _ in self.items)
+
+    def entries(self) -> list[tuple[str, int]]:
+        return [(fid, size) for fid, size, _ in self.items]
+
+    def live(self, function_id, now_ms: int) -> bool:
+        return any(
+            fid == function_id and (self.keep_alive_ms is None or now_ms - paused <= self.keep_alive_ms)
+            for fid, _, paused in self.items
+        )
+
+    def expire(self, now_ms: int) -> None:
+        self.items = [item for item in self.items if self.live(item[0], now_ms)]
+
+    def insert(self, function_id, footprint_bytes: int, paused_at_ms: int) -> list:
+        self.items = [item for item in self.items if item[0] != function_id]
+        self.items.append([function_id, footprint_bytes, paused_at_ms])
+        victims = []
+        while self.used_bytes > self.capacity_bytes:
+            victims.append(self.items.pop(0)[0])
+        return victims
+
+
+class ReferenceInstallLRU:
+    """Packages as ``[package, size]`` items, least recent first, bounded in bytes."""
+
+    def __init__(self, capacity_bytes: int):
+        self.capacity_bytes = capacity_bytes
+        self.items: list[list] = []
+
+    def lookup(self, packages: frozenset):
+        """(present, absent); the present ones become most recent in name order."""
+        present = sorted(p for p, _ in self.items if p in packages)
+        for p in present:
+            item = next(item for item in self.items if item[0] == p)
+            self.items.remove(item)
+            self.items.append(item)
+        return frozenset(present), packages - frozenset(present)
+
+    def insert(self, package, size_bytes: int) -> None:
+        self.items = [item for item in self.items if item[0] != package]
+        self.items.append([package, size_bytes])
+        while sum(size for _, size in self.items) > self.capacity_bytes:
+            self.items.pop(0)
+
+
+class _ReferenceWorker:
+    def __init__(self, worker_id: int, config):
+        self.worker_id = worker_id
+        self.queue = ReferenceQueue()
+        self.busy_until_ms = 0
+        self.handler = ReferenceHandlerTier(config.handler_capacity_bytes, config.keep_alive_ms)
+        self.install = ReferenceInstallLRU(config.install_capacity_bytes)
+        self.imports = ReferenceImportTree(config.import_max_nodes) if config.import_max_nodes else None
+
+
+def reference_run(trace, profiles, config) -> list:
+    """Every outcome of a run, by the most literal reading of ``coldsim.sim``.
+
+    Per request, in trace order: route within the function's group (under
+    HandlerAffinity the lowest-id worker holding an instance live at
+    arrival, otherwise the shortest queue, then the earliest busy time,
+    then the lowest id); expire paused instances at the start time; probe
+    handler, then import tree, then install cache; charge through
+    ``init_latency``; run FIFO; pause the instance at completion; install
+    the cold packages in name order; fork from the chosen node at the start
+    and add a node for the full dependency set when the node lacked some.
+    """
+    catalog = {p.function_id: p for p in profiles}
+    pool_of = {}
+    next_id = 0
+    for group in sorted(config.partition.groups, key=lambda g: g.group_id):
+        pool = [_ReferenceWorker(next_id + i, config) for i in range(group.worker_count)]
+        next_id += group.worker_count
+        for fid in group.function_ids:
+            pool_of[fid] = pool
+    model = config.latency_model
+    outcomes = []
+    for now, fid in zip(trace.timestamps_ms, trace.function_ids):
+        profile, pool = catalog[fid], pool_of[fid]
+        holders = [w for w in pool if w.handler.live(fid, now)]
+        if config.routing_policy is RoutingPolicy.HANDLER_AFFINITY and holders:
+            worker = holders[0]
+        else:
+            worker = min(pool, key=lambda w: (w.queue.queue_len(now), w.busy_until_ms, w.worker_id))
+        start = max(now, worker.busy_until_ms)
+        worker.handler.expire(start)
+        deps = profile.dependencies
+        if fid in worker.handler:
+            probe = CacheLookupResult(Tier.HANDLER_HIT)
+        else:
+            node, remaining = (None, deps) if worker.imports is None else worker.imports.best_node(deps)
+            preimported = deps - remaining
+            preinstalled, cold = worker.install.lookup(remaining)
+            tier = Tier.IMPORT_HIT if preimported else Tier.INSTALL_HIT if preinstalled else Tier.MISS
+            probe = CacheLookupResult(tier, preimported, preinstalled, cold, node)
+        breakdown = init_latency(probe, model)
+        completion = start + breakdown.total_ms + profile.exec_duration_ms
+        worker.queue.begin(start, completion)
+        worker.busy_until_ms = completion
+        footprint = config.footprint_overrides.get(fid, config.footprint_bytes)
+        worker.handler.insert(fid, footprint, completion)
+        if probe.tier is not Tier.HANDLER_HIT:
+            for package in sorted(probe.cold):
+                worker.install.insert(package, config.package_size_bytes)
+            if node is not None:
+                worker.imports.touch(node, start)
+                if remaining:
+                    worker.imports.insert(node, deps, start)
+        outcomes.append(
+            RequestOutcome(
+                now, fid, worker.worker_id, probe.tier, breakdown, profile.exec_duration_ms,
+                model.shutdown_ms, start, completion,
+                breakdown.total_ms + profile.exec_duration_ms + model.shutdown_ms,
+            )
+        )
+    return outcomes
 
 
 def reference_summary(outcomes) -> dict:

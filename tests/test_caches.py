@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coldsim.caches import (
@@ -17,7 +17,7 @@ from coldsim.caches import (
 from coldsim.traces import FunctionProfile
 
 from conftest import REPO_ROOT
-from reference import ReferenceImportTree, ReferenceLRU, best_import_node
+from reference import ReferenceHandlerTier, ReferenceImportTree, ReferenceLRU, best_import_node
 
 MB = 1024 * 1024
 FIG1 = LatencyModel.fig1_calibration()
@@ -32,21 +32,21 @@ def profile(fid="fn", deps=()):
 
 def test_handler_empty_cache_misses():
     cache = HandlerCache(256 * MB)
-    assert not cache.lookup("anything")
+    assert "anything" not in cache
 
 
 def test_handler_insert_then_hit():
     cache = HandlerCache(256 * MB)
     cache.insert("A", 256 * MB)
-    assert cache.lookup("A")
+    assert "A" in cache
 
 
 def test_handler_lru_eviction_at_capacity():
     cache = HandlerCache(2 * 256 * MB)
     for fid in ("A", "B", "C"):
         cache.insert(fid, 256 * MB)
-    assert not cache.lookup("A")
-    assert cache.lookup("B") and cache.lookup("C")
+    assert "A" not in cache
+    assert "B" in cache and "C" in cache
 
 
 def test_handler_one_gib_holds_four_entries():
@@ -94,9 +94,8 @@ def test_handler_hit_miss_sequence_matches_reference_lru():
         cache = HandlerCache(capacity)
         oracle = ReferenceLRU(capacity)
         for key in keys:
-            hit = cache.lookup(key)
-            if not hit:
-                cache.insert(key, 1)
+            hit = key in cache
+            cache.insert(key, 1)
             assert hit == oracle.access(key)
 
 
@@ -106,11 +105,67 @@ def test_handler_byte_feasibility_under_varied_footprints():
     cache = HandlerCache(capacity)
     for _ in range(5_000):
         if rnd.random() < 0.5:
-            cache.lookup(f"f{rnd.randint(0, 40)}")
+            key = f"f{rnd.randint(0, 40)}"
+            if key in cache:  # a hit re-pauses the instance at its own footprint
+                cache.insert(key, dict(cache.entries())[key])
         else:
             cache.insert(f"f{rnd.randint(0, 40)}", rnd.randint(0, capacity))
         assert cache.used_bytes <= capacity
         assert cache.used_bytes == sum(size for _, size in cache.entries())
+
+
+@given(
+    st.integers(1, 12),
+    st.sampled_from([None, 0, 1, 3, 10]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "live", "expire"]),
+            st.sampled_from("abcdef"),
+            st.integers(0, 12),
+            st.integers(-3, 6),
+        ),
+        max_size=60,
+    ),
+)
+@example(capacity=12, keep_alive_ms=0, ops=[("insert", "a", 1, 0), ("insert", "b", 1, 0),
+                                            ("expire", "a", 0, 1)])  # two expire at once
+def test_handler_matches_reference_tier(capacity, keep_alive_ms, ops):
+    cache = HandlerCache(capacity, keep_alive_ms)
+    oracle = ReferenceHandlerTier(capacity, keep_alive_ms)
+    newest = 0  # pause times never decrease; probes may fall before the newest
+    for op, fid, size, step in ops:
+        now = newest + step
+        if op == "insert":
+            newest += max(step, 0)
+            size = min(size, capacity)
+            assert cache.insert(fid, size, newest) == oracle.insert(fid, size, newest)
+        elif op == "live":
+            assert cache.live(fid, now) == oracle.live(fid, now)
+        else:
+            cache.expire(now)
+            oracle.expire(now)
+        assert cache.entries() == oracle.entries()
+        assert cache.used_bytes == oracle.used_bytes
+        for other in "abcdef":
+            assert (other in cache) == (other in oracle)
+            assert cache.live(other, newest) == oracle.live(other, newest)
+
+
+def test_handler_rejects_a_pause_earlier_than_the_last():
+    cache = HandlerCache(10, keep_alive_ms=5)
+    cache.insert("A", 2, 10)
+    cache.insert("B", 3, 20)
+    for fid in ("A", "B", "C"):
+        with pytest.raises(ValueError, match="paused_at_ms"):
+            cache.insert(fid, 1, 19)
+    assert cache.entries() == [("A", 2), ("B", 3)]
+    assert cache.used_bytes == 5
+    assert cache.live("B", 25) and not cache.live("B", 26)
+    assert cache.insert("C", 1, 20) == []
+    cache.expire(100)
+    assert cache.entries() == []
+    with pytest.raises(ValueError, match="paused_at_ms"):  # pause times never decrease
+        cache.insert("A", 1, 19)
 
 
 # --- install cache ----------------------------------------------------------

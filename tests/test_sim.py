@@ -5,7 +5,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coldsim.locality import LocalityGroup, Partition, partition_round_robin
@@ -34,6 +34,7 @@ from reference import (
     ReferenceQueue,
     reference_lru_hit_rate,
     reference_lru_hits,
+    reference_run,
     reference_summary,
 )
 
@@ -156,6 +157,72 @@ def test_run_aggregates_match_sorting_oracle(seed, requests, policy):
     collected = []
     result = run(trace, profiles, config, sink=collected.append)
     assert dataclasses.asdict(result) == reference_summary(collected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 80),
+    st.sampled_from(RoutingPolicy),
+    st.sampled_from([None, 0, 5, 40, 400]),
+    st.sampled_from([0, 1, 2, 4]),
+    st.booleans(),
+)
+@example(seed=0, requests=60, policy=RoutingPolicy.HANDLER_AFFINITY, keep_alive_ms=0,
+         import_max_nodes=0, overrides=False)
+def test_run_matches_whole_run_reference(seed, requests, policy, keep_alive_ms, import_max_nodes,
+                                         overrides):
+    rnd = random.Random(seed)
+    profiles = [
+        make_profile(f"fn{i}", deps=rnd.sample("abcdef", rnd.randint(0, 4)),
+                     runtime=rnd.choice(["python", "nodejs"]), exec_ms=rnd.choice([0, 3, 20, 90]))
+        for i in range(rnd.randint(1, 8))
+    ]
+    partition = partition_round_robin(profiles, rnd.randint(1, 2), rnd.randint(4, 7), {})
+    fids = [p.function_id for p in profiles]
+    stamps = sorted(rnd.randint(0, 600) for _ in range(requests))
+    trace = Trace(tuple(stamps), tuple(rnd.choice(fids) for _ in stamps))
+    handler_capacity = 3 * rnd.randint(1, 4)
+    config = SimConfig(
+        partition=partition,
+        handler_capacity_bytes=handler_capacity,
+        install_capacity_bytes=rnd.randint(2, 10),
+        import_max_nodes=import_max_nodes,
+        keep_alive_ms=keep_alive_ms,
+        # small phases, so that queues drain and keep-alive windows end between arrivals
+        latency_model=LatencyModel(
+            code_load_ms=rnd.randint(0, 9), download_ms_per_package=rnd.randint(0, 9),
+            install_ms_per_package=rnd.randint(0, 9), import_ms_per_package=rnd.randint(0, 9),
+            sandbox_create_ms=8, fork_ms=rnd.randint(2, 8), unpause_ms=rnd.randint(0, 2),
+            shutdown_ms=rnd.randint(0, 3),
+        ),
+        routing_policy=policy,
+        footprint_bytes=3,
+        footprint_overrides=(
+            {fid: rnd.randint(0, handler_capacity) for fid in rnd.sample(fids, len(fids) // 2)}
+            if overrides else {}
+        ),
+        package_size_bytes=2,
+    )
+    assert outcomes_of(trace, profiles, config) == reference_run(trace, profiles, config)
+
+
+def test_affinity_checks_liveness_at_arrival_and_expires_at_start():
+    fn = make_profile("fn", deps=("x",))
+    other = make_profile("other", exec_ms=5000)
+    hog = make_profile("hog", exec_ms=100_000)
+    partition = Partition((LocalityGroup(0, "python", frozenset({"fn", "other", "hog"}), 2),), 2)
+    config = SimConfig(partition=partition, keep_alive_ms=1000)
+    # fn pauses on worker 0; hog takes worker 1; other is least-loaded onto
+    # worker 0; fn then arrives while its instance is still live on worker 0
+    trace = make_trace((0, "fn"), (1, "hog"), (3400, "other"), (3500, "fn"))
+    first, _, busy, repeat = outcomes_of(trace, [fn, other, hog], config)
+    assert [first.worker_id, busy.worker_id, repeat.worker_id] == [0, 0, 0]
+    assert repeat.timestamp_ms - first.completion_ms <= config.keep_alive_ms
+    assert repeat.start_ms == busy.completion_ms
+    assert repeat.start_ms - first.completion_ms > config.keep_alive_ms
+    # the instance expired while the request queued; the import tree still has {x}
+    assert repeat.tier is Tier.IMPORT_HIT
 
 
 def test_run_without_sink_keeps_no_per_request_state():
@@ -305,10 +372,10 @@ def test_route_single_candidate_group():
 
 def test_route_affinity_beats_idleness():
     workers = build_workers(router_fixture())[0]
-    workers[2].note_completion("fn", 1, completion_ms=0)
-    chosen = _select_worker(workers, "fn", 10, RoutingPolicy.HANDLER_AFFINITY, None)
+    workers[2].handler.insert("fn", 1, 0)
+    chosen = _select_worker(workers, "fn", 10, RoutingPolicy.HANDLER_AFFINITY)
     assert chosen is workers[2]
-    assert _select_worker(workers, "fn", 10, RoutingPolicy.LEAST_LOADED, None) is workers[0]
+    assert _select_worker(workers, "fn", 10, RoutingPolicy.LEAST_LOADED) is workers[0]
 
 
 def test_route_least_loaded_prefers_shortest_queue():
@@ -316,7 +383,7 @@ def test_route_least_loaded_prefers_shortest_queue():
     workers[0].begin(200, 300)
     workers[0].begin(300, 400)
     workers[2].begin(150, 250)
-    chosen = _select_worker(workers, "fn", 100, RoutingPolicy.LEAST_LOADED, None)
+    chosen = _select_worker(workers, "fn", 100, RoutingPolicy.LEAST_LOADED)
     assert chosen is workers[1]
 
 

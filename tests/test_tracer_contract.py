@@ -76,6 +76,9 @@ def test_traced_simulation_reaches_every_per_request_layer(tracer_module, tmp_pa
         "sim.expire_handler",
     ):
         assert tracer.calls[name][0] > 0, name
+    # per request: one expiry, one probe and one pause of the handler
+    for name in ("sim.expire_handler", "caches.classify_request", "caches.handler_insert"):
+        assert tracer.calls[name][0] == 2000, name
 
 
 def test_traced_sweep_makes_one_pass(tracer_module, tmp_path):
