@@ -86,6 +86,44 @@ def best_partition_score(items: list, weights, k: int) -> float:
     return best
 
 
+def reference_cluster(fids, graph, target: int) -> list[frozenset]:
+    """Greedy average linkage by a full scan of every live pair per merge.
+
+    Clusters are named by their lowest member. Each step merges the pair
+    with the smallest ``(-sum / (|A|·|B|), (low_a, low_b))`` among pairs
+    with a positive summed cross weight; with none left, the two smallest
+    clusters by (size, lowest id). A merged cluster's sum with each other
+    cluster is ``sum(a, k) + sum(b, k)``: the same float additions as the
+    code under test, which an exact rational oracle would not match on
+    near-ties.
+    """
+    clusters = {f: [f] for f in sorted(fids)}
+    sums = {}  # frozenset of two cluster names -> summed cross weight
+    for (a, b), w in graph.weights.items():
+        if a in clusters and b in clusters:
+            sums[frozenset((a, b))] = w
+    while len(clusters) > target:
+        best = None
+        for pair, total in sums.items():
+            a, b = sorted(pair)
+            rank = (-total / (len(clusters[a]) * len(clusters[b])), (a, b))
+            if best is None or rank < best:
+                best = rank
+        if best is None:
+            smallest = sorted(clusters, key=lambda c: (len(clusters[c]), c))[:2]
+            a, b = sorted(smallest)
+        else:
+            a, b = best[1]
+        clusters[a] += clusters.pop(b)
+        sums.pop(frozenset((a, b)), None)
+        for k in clusters:
+            moved = sums.pop(frozenset((b, k)), None)
+            if moved is not None:
+                key = frozenset((a, k))
+                sums[key] = sums.get(key, 0.0) + moved
+    return sorted((frozenset(c) for c in clusters.values()), key=min)
+
+
 def best_import_node(nodes, required: frozenset):
     """Exhaustive best-node rule: max |set| subset of required, deepest, lowest id.
 

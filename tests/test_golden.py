@@ -6,15 +6,18 @@ The digests were computed with the straightforward implementation (full
 queue rescans, whole-tree import scans), so any optimisation of ``run`` or
 of the cache tiers must reproduce its outputs exactly. The cache-size sweep
 of the same trace is pinned the same way, with a digest computed when every
-size was a separate ``OrderedDict`` LRU replay.
+size was a separate ``OrderedDict`` LRU replay. The clustered partition of
+the same catalog is pinned with a digest computed when the agglomeration kept
+its cross-cluster sums in a pair-keyed dict beside per-cluster neighbour sets.
 """
 
 import hashlib
 import io
+import json
 
 import pytest
 
-from coldsim.locality import partition_round_robin
+from coldsim.locality import build_dependency_graph, partition_clustered, partition_round_robin
 from coldsim.sim import (
     DEFAULT_FOOTPRINT_BYTES,
     RoutingPolicy,
@@ -88,3 +91,14 @@ def test_sweep_rows_are_byte_identical(workload):
     rows = sweep_cache_sizes(trace, [e * DEFAULT_FOOTPRINT_BYTES for e in SWEEP_ENTRIES])
     text = "".join(f"{size},{rate!r}\n" for size, rate in rows)
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGEST
+
+
+CLUSTERED_DIGEST = "478235811fe907f4ba227eb902de0f380ae15c7e1d9cbb06b8599addacb7a3bf"
+
+
+def test_clustered_partition_is_byte_identical(workload):
+    trace, profiles, _ = workload
+    graph = build_dependency_graph(profiles)
+    partition = partition_clustered(graph, profiles, 3, 9, request_counts(trace))
+    text = json.dumps(partition.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CLUSTERED_DIGEST

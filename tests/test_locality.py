@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coldsim.locality import (
@@ -15,9 +15,9 @@ from coldsim.locality import (
     partition_round_robin,
     rebalance,
 )
-from coldsim.traces import FunctionProfile
+from coldsim.traces import FunctionProfile, synthesize_profiles
 
-from reference import best_partition_score, pooled_intra_similarity
+from reference import best_partition_score, pooled_intra_similarity, reference_cluster
 
 
 def profile(fid, deps=(), runtime="python"):
@@ -206,6 +206,50 @@ def test_clustered_never_loses_to_round_robin_on_similarity(seed):
     score_clustered = mean_intra_group_similarity(group_sets(clustered), graph)
     score_baseline = mean_intra_group_similarity(group_sets(baseline), graph)
     assert score_clustered >= score_baseline
+
+
+def oracle_groups(profiles, graph, groups_per_runtime):
+    by_runtime = {}
+    for p in profiles:
+        by_runtime.setdefault(p.runtime, []).append(p.function_id)
+    return [
+        (runtime, cluster)
+        for runtime in sorted(by_runtime)
+        for cluster in reference_cluster(by_runtime[runtime], graph, groups_per_runtime)
+    ]
+
+
+catalogs = st.lists(
+    st.tuples(
+        st.frozensets(st.sampled_from("abcdef"), max_size=4),
+        st.sampled_from(("python", "nodejs", "wasm")),
+    ),
+    min_size=1,
+    max_size=16,
+).map(lambda rows: [profile(f"f{i:02d}", deps, rt) for i, (deps, rt) in enumerate(rows)])
+
+
+@given(catalogs, st.integers(1, 8))
+@example([profile(f) for f in "abcde"], 2)  # no edges: size-then-id merges only
+@example([profile(f, {"x", "y"}) for f in "abcdef"], 2)  # identical dependency sets
+@example([profile(f, {"x"}, rt) for f, rt in zip("abc", ("python", "wasm", "python"))], 5)
+def test_clustered_matches_full_scan_oracle(profiles, groups_per_runtime):
+    graph = build_dependency_graph(profiles)
+    partition = partition_clustered(graph, profiles, groups_per_runtime, len(profiles), {})
+    got = [(g.runtime, g.function_ids) for g in partition.groups]
+    assert got == oracle_groups(profiles, graph, groups_per_runtime)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_clustered_matches_full_scan_oracle_on_zipf_catalogs(seed):
+    # a Zipf package catalog chains many merges, so summed weights accumulate
+    # over long merge histories and near-ties between them are common
+    fids = [f"fn{i:03d}" for i in range(120)]
+    profiles = synthesize_profiles(fids, catalog_size=30, deps_per_function=(0, 5), seed=seed)
+    graph = build_dependency_graph(profiles)
+    partition = partition_clustered(graph, profiles, 4, 8, {})
+    got = [(g.runtime, g.function_ids) for g in partition.groups]
+    assert got == oracle_groups(profiles, graph, 4)
 
 
 # --- worker apportionment ---------------------------------------------------
