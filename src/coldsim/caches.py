@@ -13,7 +13,6 @@ Each cache instance is a single-threaded mutable state machine.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -59,11 +58,6 @@ class LatencyModel:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "LatencyModel":
         return cls(**{k: int(v) for k, v in payload.items()})
-
-    @classmethod
-    def from_json_file(cls, path) -> "LatencyModel":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
     @classmethod
     def fig1_calibration(cls) -> "LatencyModel":
@@ -243,9 +237,6 @@ class ImportCacheTree:
 
     def depth(self, node_id: int) -> int:
         return self._nodes[node_id].depth
-
-    def last_fork_ms(self, node_id: int) -> int:
-        return self._nodes[node_id].last_fork_ms
 
     def best_node(self, required: AbstractSet[str]) -> tuple[int, frozenset[str]]:
         """Largest node whose set fits inside ``required``; the root always fits.

@@ -192,11 +192,13 @@ def cmd_partition(args) -> int:
     return _finish(args, "partition", parameters, [args.profiles, args.trace], outputs)
 
 
-# the partition comes from its own file; a latency model may come from a path
-_SIM_CONFIG_KEYS = ({f.name for f in fields(SimConfig)} - {"partition"}) | {"latency_model_path"}
+# the partition comes from its own file
+_SIM_CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {"partition"}
 
 
 def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
+    if not isinstance(payload, dict):
+        raise ValueError("simulation config must be a JSON object")
     unknown = set(payload) - _SIM_CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
@@ -204,12 +206,8 @@ def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
     def size_of(value):
         return parse_size(value) if isinstance(value, str) else int(value)
 
-    if "latency_model" in payload and "latency_model_path" in payload:
-        raise ValueError("give either latency_model or latency_model_path, not both")
     if "latency_model" in payload:
         model = LatencyModel.from_dict(payload["latency_model"])
-    elif "latency_model_path" in payload:
-        model = LatencyModel.from_json_file(payload["latency_model_path"])
     else:
         model = LatencyModel.fig1_calibration()
 
@@ -225,9 +223,10 @@ def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
     if "routing_policy" in payload:
         kwargs["routing_policy"] = RoutingPolicy(payload["routing_policy"])
     if "footprint_overrides" in payload:
-        kwargs["footprint_overrides"] = {
-            str(f): size_of(v) for f, v in payload["footprint_overrides"].items()
-        }
+        overrides = payload["footprint_overrides"]
+        if not isinstance(overrides, dict):
+            raise ValueError("footprint_overrides must be an object of sizes")
+        kwargs["footprint_overrides"] = {str(f): size_of(v) for f, v in overrides.items()}
     return SimConfig(**kwargs)
 
 

@@ -12,13 +12,10 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .traces import FunctionProfile
-
-
-def pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,7 @@ class DependencyGraph:
     def weight(self, a: str, b: str) -> float:
         if a == b:
             raise ValueError("self-similarity is not defined")
-        return self.weights.get(pair_key(a, b), 0.0)
+        return self.weights.get((a, b) if a < b else (b, a), 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,16 +88,29 @@ class Partition:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Partition":
+        """Inverse of ``to_dict``; a missing or mistyped key raises ValueError naming it."""
         groups = tuple(
             LocalityGroup(
-                group_id=int(g["id"]),
-                runtime=str(g["runtime"]),
-                function_ids=frozenset(g["functions"]),
-                worker_count=int(g["workers"]),
+                group_id=_field(g, "id", int),
+                runtime=_field(g, "runtime", str),
+                function_ids=frozenset(_field(g, "functions", list, str)),
+                worker_count=_field(g, "workers", int),
             )
-            for g in payload["groups"]
+            for g in _field(payload, "groups", list)
         )
         return cls(groups, sum(g.worker_count for g in groups))
+
+
+def _field(obj, key: str, kind: type, item: type | None = None):
+    """``obj[key]`` of partition JSON, checked to be a ``kind`` of ``item``s."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"partition JSON: expected an object with key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"partition JSON: {key!r} must be {kind.__name__}, not {type(value).__name__}")
+    if item is not None and not all(isinstance(x, item) for x in value):
+        raise ValueError(f"partition JSON: {key!r} must hold only {item.__name__} values")
+    return value
 
 
 # rebalance re-clusters only when more than this share of window requests drifted
@@ -122,9 +132,8 @@ def build_dependency_graph(profiles: Sequence[FunctionProfile]) -> DependencyGra
             by_package[pkg].append(fid)
     intersections: Counter = Counter()
     for members in by_package.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                intersections[pair_key(members[i], members[j])] += 1
+        # members are in id order, so every pair is already a sorted key
+        intersections.update(combinations(members, 2))
     weights = {}
     for (a, b), inter in intersections.items():
         union = len(deps[a]) + len(deps[b]) - inter
@@ -224,86 +233,55 @@ def partition_round_robin(
     return _assemble(member_sets, total_workers, popularity)
 
 
-def _cluster_runtime(fids: Sequence[str], graph: DependencyGraph, target: int) -> list[frozenset[str]]:
+def _cluster_runtime(fids: Iterable[str], graph: DependencyGraph, target: int) -> list[frozenset[str]]:
     """Greedy average-linkage agglomeration down to ``target`` clusters.
 
     Merge the pair with the highest mean cross-pair weight; ties go to the
     lexicographically smallest pair of lowest member ids. Once no positive
     cross weight remains, merge by ascending size then lowest id.
 
-    Candidate pairs live in a heap with lazy invalidation: every entry
-    snapshots the merge generation of both clusters, so stale entries are
-    skipped on pop and each merge only re-pushes the merged cluster's pairs.
-    The selection order is identical to a full argmax scan.
+    Cluster ``i`` keeps the index of its lowest member in ``ordered``.
+    ``links[i][k]``, stored on both sides, is the summed edge weight between
+    live clusters ``i`` and ``k``. Candidate pairs live in a heap with lazy
+    invalidation: every entry snapshots the sizes of both clusters, and a
+    merge grows the surviving cluster, so an entry whose sizes no longer
+    match (or whose cluster is gone) is stale and skipped on pop. Each merge
+    only re-pushes the merged cluster's pairs. The selection order is
+    identical to a full argmax scan.
     """
     ordered = sorted(fids)
-    members: dict[int, list[str]] = {i: [f] for i, f in enumerate(ordered)}
-    low: dict[int, str] = {i: f for i, f in enumerate(ordered)}
-    generation: dict[int, int] = {i: 0 for i in members}
-    sums: dict[tuple[int, int], float] = {}
-    neighbors: dict[int, set[int]] = defaultdict(set)
     index = {f: i for i, f in enumerate(ordered)}
+    members: dict[int, list[str]] = {i: [f] for i, f in enumerate(ordered)}
+    links: dict[int, dict[int, float]] = {i: {} for i in members}
+    heap = []
     for (a, b), w in graph.weights.items():
         if a in index and b in index:
-            i, j = index[a], index[b]
-            key = (min(i, j), max(i, j))
-            sums[key] = w
-            neighbors[key[0]].add(key[1])
-            neighbors[key[1]].add(key[0])
-    heap = [
-        (-w, (low[i], low[j]), i, j, 0, 0) for (i, j), w in sums.items()
-    ]  # singleton clusters: avg weight == edge weight, names already sorted
+            i, j = index[a], index[b]  # a < b, so i < j
+            links[i][j] = links[j][i] = w
+            heap.append((-w, (a, b), i, j, 1, 1))  # singletons: avg weight == edge weight
     heapq.heapify(heap)
 
     while len(members) > target:
-        merge = None
         while heap:
-            _, _, i, j, gen_i, gen_j = heapq.heappop(heap)
-            if (
-                i in members
-                and j in members
-                and generation[i] == gen_i
-                and generation[j] == gen_j
-            ):
-                merge = (i, j)
+            _, _, i, j, size_i, size_j = heapq.heappop(heap)
+            if len(members.get(i, ())) == size_i and len(members.get(j, ())) == size_j:
                 break
-        if merge is None:
+        else:
             # no connected pairs left: merge the two smallest clusters
-            order = sorted(members, key=lambda k: (len(members[k]), low[k]))
-            merge = (min(order[0], order[1]), max(order[0], order[1]))
-        i, j = merge
-        members[i] = sorted(members[i] + members.pop(j))
-        low[i] = members[i][0]
-        del low[j]
-        del generation[j]
-        generation[i] += 1
-        for k in neighbors.pop(j, set()):
-            if k == i or k not in members:
-                continue
-            moved = sums.pop((min(j, k), max(j, k)), 0.0)
-            if moved:
-                key = (min(i, k), max(i, k))
-                sums[key] = sums.get(key, 0.0) + moved
-                neighbors[i].add(k)
-                neighbors[k].add(i)
-            neighbors[k].discard(j)
-        sums.pop((i, j), None)
-        neighbors[i].discard(i)
-        neighbors[i].discard(j)
-        for k in sorted(neighbors[i]):
-            if k not in members:
-                neighbors[i].discard(k)
-                continue
-            key = (min(i, k), max(i, k))
-            weight = sums.get(key)
-            if weight:
-                avg = weight / (len(members[i]) * len(members[k]))
-                names = tuple(sorted((low[i], low[k])))
-                heapq.heappush(
-                    heap, (-avg, names, key[0], key[1], generation[key[0]], generation[key[1]])
-                )
-    clusters = [frozenset(fns) for fns in members.values()]
-    return sorted(clusters, key=min)
+            i, j = sorted(sorted(members, key=lambda k: (len(members[k]), k))[:2])
+        members[i] += members.pop(j)
+        merged = links[i]
+        merged.pop(j, None)
+        for k, w in links.pop(j).items():
+            if k != i:
+                del links[k][j]
+                merged[k] = links[k][i] = merged.get(k, 0.0) + w
+        for k in sorted(merged):
+            a, b = (i, k) if i < k else (k, i)
+            size_a, size_b = len(members[a]), len(members[b])
+            entry = (-merged[k] / (size_a * size_b), (ordered[a], ordered[b]), a, b, size_a, size_b)
+            heapq.heappush(heap, entry)
+    return sorted((frozenset(fns) for fns in members.values()), key=min)
 
 
 def partition_clustered(
@@ -330,11 +308,9 @@ def mean_intra_group_similarity(
     total = 0.0
     pairs = 0
     for g in groups:
-        fns = sorted(g)
-        for i in range(len(fns)):
-            for j in range(i + 1, len(fns)):
-                total += graph.weight(fns[i], fns[j])
-                pairs += 1
+        for pair in combinations(sorted(g), 2):
+            total += graph.weights.get(pair, 0.0)
+            pairs += 1
     return total / pairs if pairs else 0.0
 
 
@@ -359,29 +335,23 @@ def rebalance(
     total_window = sum(group_pop.values())
 
     old_order = sorted(groups, key=lambda g: (-g.worker_count, g.group_id))
-    band_by_count: dict[int, set[int]] = defaultdict(set)
-    for pos, g in enumerate(old_order):
-        band_by_count[g.worker_count].add(pos)
     new_order = sorted(groups, key=lambda g: (-group_pop[g.group_id], g.group_id))
-    moved = {
-        g.group_id
-        for pos, g in enumerate(new_order)
-        if pos not in band_by_count[g.worker_count]
-    }
-    drifted = sum(group_pop[gid] for gid in moved)
+    drifted = sum(
+        group_pop[g.group_id]
+        for old, g in zip(old_order, new_order)
+        if old.worker_count != g.worker_count
+    )
     drift = drifted / total_window if total_window else 0.0
 
     if drift > REBALANCE_DRIFT_THRESHOLD:
-        member_sets: list[tuple[str, frozenset[str]]] = []
-        by_runtime: dict[str, list[str]] = defaultdict(list)
-        runtime_groups: Counter = Counter()
+        by_runtime: dict[str, list[frozenset[str]]] = defaultdict(list)
         for g in groups:
-            by_runtime[g.runtime].extend(g.function_ids)
-            runtime_groups[g.runtime] += 1
-        for runtime in sorted(by_runtime):
-            fids = sorted(by_runtime[runtime])
-            for cluster in _cluster_runtime(fids, graph, runtime_groups[runtime]):
-                member_sets.append((runtime, cluster))
+            by_runtime[g.runtime].append(g.function_ids)
+        member_sets = [
+            (runtime, cluster)
+            for runtime, sets in sorted(by_runtime.items())
+            for cluster in _cluster_runtime(frozenset().union(*sets), graph, len(sets))
+        ]
         return _assemble(member_sets, partition.total_workers, window_popularity)
 
     counts = allocate_workers(

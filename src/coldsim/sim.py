@@ -105,7 +105,7 @@ class SimConfig:
 class Worker:
     """One simulated worker: private tier caches plus a FIFO request queue."""
 
-    __slots__ = ("worker_id", "handler", "install", "imports", "busy_until_ms", "_inflight")
+    __slots__ = ("worker_id", "handler", "install", "imports", "busy_until_ms", "_starts")
 
     def __init__(self, worker_id: int, config: SimConfig):
         self.worker_id = worker_id
@@ -115,30 +115,27 @@ class Worker:
             ImportCacheTree(config.import_max_nodes) if config.import_max_nodes else None
         )
         self.busy_until_ms = 0
-        self._inflight: deque[tuple[int, int]] = deque()  # (start, completion)
+        self._starts: deque[int] = deque()  # starts not yet passed by a queue_len call
 
     def queue_len(self, now_ms: int) -> int:
         """Requests assigned but not yet started at ``now_ms``.
 
-        A worker runs its requests one at a time in FIFO order, so the
-        intervals in ``_inflight`` never overlap and their start times never
-        decrease: each starts no earlier than its predecessor completes.
-        Once the entries completed by ``now_ms`` are dropped, every entry
-        after the head starts after the head completes, hence after
-        ``now_ms``; only the head may already be running.
+        A worker runs its requests one at a time in FIFO order, so their
+        start times never decrease and the requests not yet started at
+        ``now_ms`` are a suffix of ``_starts``. Calls come in arrival order,
+        so ``now_ms`` never decreases either, and a start at or before it
+        can be dropped for good.
         """
-        inflight = self._inflight
-        while inflight and inflight[0][1] <= now_ms:
-            inflight.popleft()
-        if not inflight:
-            return 0
-        return len(inflight) - (inflight[0][0] <= now_ms)
+        starts = self._starts
+        while starts and starts[0] <= now_ms:
+            starts.popleft()
+        return len(starts)
 
     def expire_handler(self, now_ms: int) -> None:
         self.handler.expire(now_ms)
 
     def begin(self, start_ms: int, completion_ms: int) -> None:
-        self._inflight.append((start_ms, completion_ms))
+        self._starts.append(start_ms)
         self.busy_until_ms = completion_ms
 
 

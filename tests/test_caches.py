@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -432,7 +433,8 @@ def test_preinstalled_packages_skip_download_and_install():
 
 
 def test_shipped_preset_file_matches_builtin():
-    loaded = LatencyModel.from_json_file(REPO_ROOT / "presets" / "fig1_calibration.json")
+    with open(REPO_ROOT / "presets" / "fig1_calibration.json", encoding="utf-8") as handle:
+        loaded = LatencyModel.from_dict(json.load(handle))
     assert loaded == FIG1
 
 

@@ -187,6 +187,39 @@ def test_partition_insufficient_workers_exits_2(clique_inputs, capsys):
     assert "insufficient workers" in capsys.readouterr().err
 
 
+def partition_workers(profiles, trace, capsys, *flags):
+    rc = main([
+        "partition", str(profiles), str(trace), "--strategy", "round_robin",
+        "--groups-per-runtime", "2", "--workers", "4", *flags,
+    ])
+    assert rc == 0
+    return {g["functions"][0]: g["workers"] for g in json.loads(capsys.readouterr().out)["groups"]}
+
+
+def test_partition_weight_by_duration_moves_workers(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    profiles = tmp_path / "profiles.csv"
+    # "slow" gets a quarter of the requests but runs 100 times longer per request
+    write_trace_csv(trace, [(0, "slow"), (1, "fast"), (2, "fast"), (3, "fast")])
+    write_profiles_csv(profiles, ["fast,python,10,10,x", "slow,python,10,1000,y"])
+    assert partition_workers(profiles, trace, capsys) == {"fast": 3, "slow": 1}
+    assert partition_workers(profiles, trace, capsys, "--weight-by-duration") == {"fast": 1, "slow": 3}
+
+
+def test_partition_weight_by_uniform_duration_changes_nothing(tmp_path, capsys):
+    # generated catalogs give every function the same duration, and worker
+    # allocation is invariant to scaling every popularity count alike
+    assert main(generate_args(tmp_path)) == 0
+    argv = [
+        "partition", str(tmp_path / "profiles.csv"), str(tmp_path / "trace.csv"),
+        "--groups-per-runtime", "3", "--workers", "10",
+    ]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--weight-by-duration"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 @pytest.fixture
 def simulate_inputs(tmp_path):
     trace = tmp_path / "trace.csv"
@@ -300,6 +333,44 @@ def test_simulate_rejects_oversized_config_before_running(simulate_inputs, tmp_p
         rc = main(["simulate", str(trace), str(profiles), str(partition), "--config", str(config)])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+
+GROUP = {"id": 0, "runtime": "python", "functions": ["fn"], "workers": 1}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({}, "expected an object with key 'groups'"),
+        ([GROUP], "expected an object with key 'groups'"),
+        ({"groups": GROUP}, "'groups' must be list"),
+        ({"groups": [{k: v for k, v in GROUP.items() if k != "workers"}]}, "expected an object with key 'workers'"),
+        ({"groups": [dict(GROUP, workers="1")]}, "'workers' must be int"),
+        ({"groups": [dict(GROUP, functions="fn")]}, "'functions' must be list"),
+        ({"groups": [dict(GROUP, functions=[["fn"]])]}, "'functions' must hold only str"),
+    ],
+)
+def test_simulate_malformed_partition_exits_2(simulate_inputs, tmp_path, capsys, payload, message):
+    trace, profiles, _ = simulate_inputs
+    partition = tmp_path / "malformed.json"
+    partition.write_text(json.dumps(payload))
+    rc = main(["simulate", str(trace), str(profiles), str(partition)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_malformed_config_exits_2(simulate_inputs, tmp_path, capsys):
+    trace, profiles, partition = simulate_inputs
+    config = tmp_path / "config.json"
+    for payload, message in (
+        ({"footprint_overrides": ["a"]}, "footprint_overrides must be an object"),
+        (["keep_alive_ms"], "simulation config must be a JSON object"),
+        ({"latency_model_path": "presets/fig1_calibration.json"}, "unknown simulation config keys"),
+    ):
+        config.write_text(json.dumps(payload))
+        rc = main(["simulate", str(trace), str(profiles), str(partition), "--config", str(config)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_manifest_written_alongside_out(small_trace, tmp_path):

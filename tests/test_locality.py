@@ -232,7 +232,10 @@ catalogs = st.lists(
 @given(catalogs, st.integers(1, 8))
 @example([profile(f) for f in "abcde"], 2)  # no edges: size-then-id merges only
 @example([profile(f, {"x", "y"}) for f in "abcdef"], 2)  # identical dependency sets
+# more groups than functions in each of two runtimes
 @example([profile(f, {"x"}, rt) for f, rt in zip("abc", ("python", "wasm", "python"))], 5)
+# after d+e merge, (a, de) ties (b, c) at 0.5: the lower names must win
+@example([profile(f, deps) for f, deps in zip("abcde", ("x", "y", "yz", "xw", "xw"))], 3)
 def test_clustered_matches_full_scan_oracle(profiles, groups_per_runtime):
     graph = build_dependency_graph(profiles)
     partition = partition_clustered(graph, profiles, groups_per_runtime, len(profiles), {})
@@ -242,8 +245,8 @@ def test_clustered_matches_full_scan_oracle(profiles, groups_per_runtime):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_clustered_matches_full_scan_oracle_on_zipf_catalogs(seed):
-    # a Zipf package catalog chains many merges, so summed weights accumulate
-    # over long merge histories and near-ties between them are common
+    # a Zipf package catalog chains most functions into one cluster, so
+    # summed weights accumulate over long merge histories
     fids = [f"fn{i:03d}" for i in range(120)]
     profiles = synthesize_profiles(fids, catalog_size=30, deps_per_function=(0, 5), seed=seed)
     graph = build_dependency_graph(profiles)
