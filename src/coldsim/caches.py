@@ -12,13 +12,16 @@ Each cache instance is a single-threaded mutable state machine.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import AbstractSet, Mapping
+from operator import attrgetter
+from typing import AbstractSet, Mapping, NamedTuple
 
 from .traces import FunctionProfile
+
+_NONE: frozenset[str] = frozenset()
 
 
 class Tier(str, Enum):
@@ -57,6 +60,9 @@ class LatencyModel:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "LatencyModel":
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown latency_model keys: {sorted(unknown)}")
         return cls(**{k: int(v) for k, v in payload.items()})
 
     @classmethod
@@ -91,6 +97,7 @@ class HandlerCache:
         self._entries: OrderedDict[str, tuple[int, int]] = OrderedDict()  # (footprint, paused_at_ms)
         self._used = 0
         self._newest_ms = 0
+        self._oldest_ms = 0  # at most the oldest instance's pause time
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -115,8 +122,15 @@ class HandlerCache:
         """Drop the instances no longer live at ``now_ms``: a prefix, oldest first."""
         if self.keep_alive_ms is None:
             return
-        entries, cutoff = self._entries, now_ms - self.keep_alive_ms
-        while entries and next(iter(entries.values()))[1] < cutoff:
+        cutoff = now_ms - self.keep_alive_ms
+        if cutoff <= self._oldest_ms:
+            return
+        entries = self._entries
+        while entries:
+            paused_at = next(iter(entries.values()))[1]
+            if paused_at >= cutoff:
+                self._oldest_ms = paused_at  # the oldest pause time never decreases
+                return
             self._used -= entries.popitem(last=False)[1][0]
 
     def insert(self, function_id: str, footprint_bytes: int, paused_at_ms: int = 0) -> list[str]:
@@ -129,15 +143,15 @@ class HandlerCache:
             raise ValueError(f"paused_at_ms {paused_at_ms} is earlier than the last, {self._newest_ms}")
         self._newest_ms = paused_at_ms
         entries = self._entries
-        if function_id in entries:
-            self._used -= entries.pop(function_id)[0]
+        held = entries.pop(function_id, None)
+        used = self._used + footprint_bytes - (held[0] if held else 0)
         entries[function_id] = (footprint_bytes, paused_at_ms)
-        self._used += footprint_bytes
         evicted = []
-        while self._used > self.capacity_bytes:
+        while used > self.capacity_bytes:
             victim, (size, _) = entries.popitem(last=False)
-            self._used -= size
+            used -= size
             evicted.append(victim)
+        self._used = used
         return evicted
 
 
@@ -162,10 +176,13 @@ class InstallCache:
         return self._used
 
     def lookup(self, packages: AbstractSet[str]) -> tuple[frozenset[str], frozenset[str]]:
-        """Partition ``packages`` into (present, absent); hits move to most-recent."""
-        hits = frozenset(self._packages.keys() & packages)
-        for p in sorted(hits):
+        """Partition ``packages`` into (present, absent); hits move to most-recent in name order."""
+        found = self._packages.keys() & packages
+        if not found:
+            return _NONE, frozenset(packages)
+        for p in sorted(found) if len(found) > 1 else found:
             self._packages.move_to_end(p)
+        hits = frozenset(found)
         return hits, frozenset(packages) - hits
 
     def insert(self, package_id: str, size_bytes: int) -> list[str]:
@@ -185,16 +202,19 @@ class InstallCache:
         return evicted
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _ImportNode:
     node_id: int
     packages: frozenset[str]
     parent_id: int | None
-    depth: int
+    rank: tuple[int, int, int]  # (len(packages), depth, -node_id): best_node takes the largest
     last_fork_ms: int
-    # child ids, filed under the smallest package each adds to this node's set
-    children: dict[str, set[int]]
+    # children filed under the smallest package each adds to this node's set
+    children: dict[str, set[_ImportNode]]
     key_package: str | None = None  # where the parent files this node; None for the root
+
+
+_rank = attrgetter("rank")
 
 
 class ImportCacheTree:
@@ -205,23 +225,23 @@ class ImportCacheTree:
     is a subset of the request, never a superset, so a process with
     extraneous imports is never reused.
 
-    Eviction candidates live in a heap of ``(last_fork_ms, -node_id)``
-    entries. An entry is pushed whenever a node becomes a leaf or a leaf's
-    fork time changes, and is stale once its node is gone, has children, or
-    has been forked from since; stale entries are dropped when they surface.
+    The eviction candidates, the non-root leaves, are kept in one ascending
+    list of ``(last_fork_ms, -node_id)``: a node enters it when it becomes a
+    leaf, moves when a fork from it changes its time, and leaves it when it
+    gains a child or is evicted, so its head is always the next victim.
     """
 
     ROOT_ID = 0
-    HEAP_SLACK = 4  # rebuild the leaf heap beyond this many entries per node
 
     def __init__(self, max_nodes: int):
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
         self.max_nodes = max_nodes
-        root = _ImportNode(self.ROOT_ID, frozenset(), None, 0, 0, {})
+        root = _ImportNode(self.ROOT_ID, frozenset(), None, (0, 0, -self.ROOT_ID), 0, {})
         self._nodes: dict[int, _ImportNode] = {self.ROOT_ID: root}
+        self._by_packages: dict[frozenset[str], list[_ImportNode]] = {root.packages: [root]}
         self._next_id = 1
-        self._leaf_heap: list[tuple[int, int]] = []
+        self._leaves: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -236,7 +256,7 @@ class ImportCacheTree:
         return self._nodes[node_id].parent_id
 
     def depth(self, node_id: int) -> int:
-        return self._nodes[node_id].depth
+        return self._nodes[node_id].rank[1]
 
     def best_node(self, required: AbstractSet[str]) -> tuple[int, frozenset[str]]:
         """Largest node whose set fits inside ``required``; the root always fits.
@@ -244,35 +264,39 @@ class ImportCacheTree:
         Ties prefer the deepest node, then the lowest node_id. Returns the
         node and the packages still missing from it.
 
-        A child's set contains its parent's, so a node fits only if its
-        parent does: the search descends from the root into fitting
-        children only. A child is filed under one package it adds, which a
+        A node whose set is ``required`` itself beats every other fit, so
+        those are looked up by set first. Otherwise, a child's set contains
+        its parent's, so a node fits only if its parent does: the search
+        descends from the root into fitting children that have children of
+        their own. A child is filed under one package it adds, which a
         fitting child's must be among ``required``, so only those files are
         read.
         """
         required = frozenset(required)
-        nodes = self._nodes
-        best = nodes[self.ROOT_ID]
-        best_rank = (0, 0, -self.ROOT_ID)
+        exact = self._by_packages.get(required)
+        if exact:  # no node that fits is larger
+            return max(exact, key=_rank).node_id, _NONE
+        best = self._nodes[self.ROOT_ID]
         stack = [best]
         while stack:
             children = stack.pop().children
             for package in required:
-                for child_id in children.get(package, ()):
-                    child = nodes[child_id]
+                for child in children.get(package, ()):
                     if child.packages <= required:
-                        stack.append(child)
-                        rank = (len(child.packages), child.depth, -child_id)
-                        if rank > best_rank:
-                            best, best_rank = child, rank
+                        if child.children:
+                            stack.append(child)
+                        if child.rank > best.rank:
+                            best = child
         return best.node_id, required - best.packages
 
     def touch(self, node_id: int, now_ms: int) -> None:
         """Record a fork from ``node_id`` for eviction recency."""
         node = self._nodes[node_id]
+        if not node.children and node_id != self.ROOT_ID:  # a leaf moves in the eviction order
+            leaves = self._leaves
+            del leaves[bisect_left(leaves, (node.last_fork_ms, -node_id))]
+            insort(leaves, (now_ms, -node_id))
         node.last_fork_ms = now_ms
-        if not node.children:
-            self._push_leaf(node)
 
     def insert(self, parent_node_id: int, package_set: AbstractSet[str], now_ms: int) -> int:
         """Add a sleeping process under ``parent_node_id``.
@@ -281,83 +305,54 @@ class ImportCacheTree:
         exceeds the bound, leaves with the oldest fork time are evicted
         (ties broken by highest node_id); the root is never evicted.
         """
-        parent = self._nodes[parent_node_id]
+        nodes = self._nodes
+        parent = nodes[parent_node_id]
         package_set = frozenset(package_set)
         if not package_set > parent.packages:
             raise ValueError("import tree hierarchy violated")
-        node = _ImportNode(
-            self._next_id,
-            package_set,
-            parent_node_id,
-            parent.depth + 1,
-            now_ms,
-            {},
-            min(package_set - parent.packages),
-        )
+        node_id = self._next_id
         self._next_id += 1
-        self._nodes[node.node_id] = node
-        parent.children.setdefault(node.key_package, set()).add(node.node_id)
-        self._push_leaf(node)
-        while len(self._nodes) > self.max_nodes:
-            self._evict_one_leaf()
-        return node.node_id
-
-    def _push_leaf(self, node: _ImportNode) -> None:
-        if node.node_id == self.ROOT_ID:
-            return
-        heap = self._leaf_heap
-        if len(heap) < self.HEAP_SLACK * self.max_nodes:
-            heapq.heappush(heap, (node.last_fork_ms, -node.node_id))
-            return
-        # mostly stale entries: rebuild from the current leaves, ``node`` included
-        heap[:] = [
-            (n.last_fork_ms, -n.node_id)
-            for n in self._nodes.values()
-            if not n.children and n.node_id != self.ROOT_ID
-        ]
-        heapq.heapify(heap)
-
-    def _evict_one_leaf(self) -> None:
-        """Drop the leaf forked from longest ago, the highest id on ties."""
-        nodes = self._nodes
-        while True:
-            fork_ms, neg_id = heapq.heappop(self._leaf_heap)
-            victim = nodes.get(-neg_id)
-            if victim is not None and not victim.children and victim.last_fork_ms == fork_ms:
-                break
-        del nodes[victim.node_id]
-        parent = nodes[victim.parent_id]
-        siblings = parent.children[victim.key_package]
-        siblings.discard(victim.node_id)
-        if not siblings:
-            del parent.children[victim.key_package]
-        if not parent.children:
-            self._push_leaf(parent)
+        key = min(package_set - parent.packages)
+        rank = (len(package_set), parent.rank[1] + 1, -node_id)
+        node = nodes[node_id] = _ImportNode(node_id, package_set, parent_node_id, rank, now_ms, {}, key)
+        self._by_packages.setdefault(package_set, []).append(node)
+        leaves = self._leaves
+        if not parent.children and parent_node_id != self.ROOT_ID:
+            del leaves[bisect_left(leaves, (parent.last_fork_ms, -parent_node_id))]
+        parent.children.setdefault(key, set()).add(node)
+        insort(leaves, (now_ms, -node_id))
+        while len(nodes) > self.max_nodes:
+            victim = nodes.pop(-leaves.pop(0)[1])  # forked from longest ago, highest id on ties
+            same = self._by_packages[victim.packages]
+            same.remove(victim)
+            if not same:
+                del self._by_packages[victim.packages]
+            above = nodes[victim.parent_id]
+            siblings = above.children[victim.key_package]
+            siblings.discard(victim)
+            if not siblings:
+                del above.children[victim.key_package]
+                if not above.children and above.node_id != self.ROOT_ID:
+                    insort(leaves, (above.last_fork_ms, -above.node_id))
+        return node_id
 
 
-@dataclass(frozen=True, slots=True)
-class CacheLookupResult:
+class CacheLookupResult(NamedTuple):
     """Outcome of probing the three tiers for one request.
 
     ``preimported``, ``preinstalled`` and ``cold`` partition the function's
-    dependency set (all empty on a handler hit). ``forked_node_id`` is the
-    import-tree node a new instance would fork from, or None when no tree is
-    available and a sandbox must be created from scratch.
+    dependency set (all empty on a handler hit); ``classify_request`` builds
+    them by set difference, so they are disjoint by construction.
+    ``forked_node_id`` is the import-tree node a new instance would fork
+    from, or None when no tree is available and a sandbox must be created
+    from scratch.
     """
 
     tier: Tier
-    preimported: frozenset[str] = frozenset()
-    preinstalled: frozenset[str] = frozenset()
-    cold: frozenset[str] = frozenset()
+    preimported: frozenset[str] = _NONE
+    preinstalled: frozenset[str] = _NONE
+    cold: frozenset[str] = _NONE
     forked_node_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.preimported & self.preinstalled
-            or self.preimported & self.cold
-            or self.preinstalled & self.cold
-        ):
-            raise ValueError("tier package sets must be disjoint")
 
 
 _HANDLER_HIT = CacheLookupResult(Tier.HANDLER_HIT)
@@ -384,7 +379,7 @@ def classify_request(
         node_id, remaining = imports.best_node(deps)
         preimported = deps - remaining
     else:
-        node_id, remaining, preimported = None, deps, frozenset()
+        node_id, remaining, preimported = None, deps, _NONE
     preinstalled, cold = install.lookup(remaining)
     if preimported:
         tier = Tier.IMPORT_HIT

@@ -196,6 +196,14 @@ def cmd_partition(args) -> int:
 _SIM_CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {"partition"}
 
 
+def _config_int(key: str, value) -> int:
+    """``int(value)`` of a simulation config value; a value it cannot take names ``key``."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, not {json.dumps(value)}") from None
+
+
 def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
     if not isinstance(payload, dict):
         raise ValueError("simulation config must be a JSON object")
@@ -203,30 +211,35 @@ def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
     if unknown:
         raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
 
-    def size_of(value):
-        return parse_size(value) if isinstance(value, str) else int(value)
+    def size_of(key, value):
+        return parse_size(value) if isinstance(value, str) else _config_int(key, value)
 
     if "latency_model" in payload:
-        model = LatencyModel.from_dict(payload["latency_model"])
+        phases = payload["latency_model"]
+        if not isinstance(phases, dict):
+            raise ValueError("latency_model must be an object of phase costs")
+        model = LatencyModel.from_dict({k: _config_int(f"latency_model.{k}", v) for k, v in phases.items()})
     else:
         model = LatencyModel.fig1_calibration()
 
     kwargs = {"partition": partition, "latency_model": model}
     for key in ("handler_capacity_bytes", "install_capacity_bytes", "footprint_bytes", "package_size_bytes"):
         if key in payload:
-            kwargs[key] = size_of(payload[key])
+            kwargs[key] = size_of(key, payload[key])
     if "import_max_nodes" in payload:
-        kwargs["import_max_nodes"] = int(payload["import_max_nodes"])
+        kwargs["import_max_nodes"] = _config_int("import_max_nodes", payload["import_max_nodes"])
     if "keep_alive_ms" in payload:
         value = payload["keep_alive_ms"]
-        kwargs["keep_alive_ms"] = None if value is None else int(value)
+        kwargs["keep_alive_ms"] = None if value is None else _config_int("keep_alive_ms", value)
     if "routing_policy" in payload:
         kwargs["routing_policy"] = RoutingPolicy(payload["routing_policy"])
     if "footprint_overrides" in payload:
         overrides = payload["footprint_overrides"]
         if not isinstance(overrides, dict):
             raise ValueError("footprint_overrides must be an object of sizes")
-        kwargs["footprint_overrides"] = {str(f): size_of(v) for f, v in overrides.items()}
+        kwargs["footprint_overrides"] = {
+            str(f): size_of(f"footprint_overrides[{f!r}]", v) for f, v in overrides.items()
+        }
     return SimConfig(**kwargs)
 
 

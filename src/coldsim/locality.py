@@ -128,7 +128,7 @@ def build_dependency_graph(profiles: Sequence[FunctionProfile]) -> DependencyGra
         deps[p.function_id] = p.dependencies
     by_package: dict[str, list[str]] = defaultdict(list)
     for fid in sorted(deps):
-        for pkg in deps[fid]:
+        for pkg in sorted(deps[fid]):  # not set order, which follows the string hash seed
             by_package[pkg].append(fid)
     intersections: Counter = Counter()
     for members in by_package.values():

@@ -5,10 +5,13 @@ request is routed to a worker in its function's locality group, classified
 against that worker's caches, charged the modeled initialization latency,
 and executed FIFO on the worker. The function's instance is paused in the
 worker's handler cache at request completion. The handler cache alone
-decides keep-alive: routing asks it which instances are live at arrival, and
-it drops expired ones when the worker starts its next request.
-``_select_worker`` is the only router. Nothing here draws random
-numbers, so identical inputs always produce identical results.
+decides keep-alive: routing asks it whether an instance is live at arrival,
+and it drops expired ones when the worker starts its next request.
+``_select_worker`` is the only router. Under HandlerAffinity it probes one
+worker per request, the last to serve the function, since no other can
+hold a live instance; it counts queues only when every candidate is busy.
+Nothing here draws random numbers, so identical inputs always produce
+identical results.
 
 A run folds each request into the aggregates of its ``SimResult`` and keeps
 no outcome. A ``RequestOutcome`` is built only for an optional
@@ -33,6 +36,7 @@ from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import accumulate
+from operator import attrgetter
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .caches import (
@@ -115,7 +119,8 @@ class Worker:
             ImportCacheTree(config.import_max_nodes) if config.import_max_nodes else None
         )
         self.busy_until_ms = 0
-        self._starts: deque[int] = deque()  # starts not yet passed by a queue_len call
+        # starts not yet seen to pass: by a queue_len call, or by ``run`` finding the worker idle
+        self._starts: deque[int] = deque()
 
     def queue_len(self, now_ms: int) -> int:
         """Requests assigned but not yet started at ``now_ms``.
@@ -137,6 +142,9 @@ class Worker:
     def begin(self, start_ms: int, completion_ms: int) -> None:
         self._starts.append(start_ms)
         self.busy_until_ms = completion_ms
+
+
+_busy_until = attrgetter("busy_until_ms")
 
 
 class RequestOutcome(NamedTuple):
@@ -219,26 +227,29 @@ def _select_worker(
     function_id: str,
     now_ms: int,
     policy: RoutingPolicy,
+    last_worker: dict[str, Worker],
 ) -> Worker:
     """Pick the worker for one request among its group's ``candidates``.
 
-    HandlerAffinity prefers a candidate holding a live instance (lowest id
-    wins); otherwise, and always under LeastLoaded, the shortest queue wins,
-    then earliest busy_until_ms, then lowest id. ``candidates`` must be in
-    ascending worker id.
+    HandlerAffinity prefers the candidate holding a live instance. Only the
+    worker that served the function last can hold one: each request goes
+    to the live holder if there is one, and an instance not live at an
+    arrival stays so until its worker serves the function again. So one
+    probe of ``last_worker[function_id]`` decides. Otherwise, and always
+    under LeastLoaded, the shortest queue wins, then earliest
+    busy_until_ms, then lowest id. A worker idle at ``now_ms`` has an empty
+    queue and an earlier busy_until_ms than any busy one, so if any is idle
+    the earliest-idle one wins and no queue is counted. ``candidates`` must
+    be in ascending worker id; the choice is recorded in ``last_worker``.
     """
     if policy is RoutingPolicy.HANDLER_AFFINITY:
-        for w in candidates:
-            if w.handler.live(function_id, now_ms):
-                return w
-    # shortest queue, then earliest busy_until_ms; ties keep the lowest id
-    best = None
-    for w in candidates:
-        queued = w.queue_len(now_ms)
-        if best is None or queued < best_queued or (
-            queued == best_queued and w.busy_until_ms < best.busy_until_ms
-        ):
-            best, best_queued = w, queued
+        holder = last_worker.get(function_id)
+        if holder is not None and holder.handler.live(function_id, now_ms):
+            return holder
+    best = min(candidates, key=_busy_until)  # ties keep the lowest id
+    if best.busy_until_ms > now_ms:
+        best = min(candidates, key=lambda w: (w.queue_len(now_ms), w.busy_until_ms))
+    last_worker[function_id] = best
     return best
 
 
@@ -286,32 +297,43 @@ def run(
     model = config.latency_model
     shutdown_ms = model.shutdown_ms
     package_size = config.package_size_bytes
-    # a breakdown depends only on these probe features, so equal ones are shared
-    breakdowns: dict[tuple, LatencyBreakdown] = {}
-    tally: Counter[tuple] = Counter()  # requests per breakdown key, whose first item is the tier
+    last_worker: dict[str, Worker] = {}
+    handler_hit = Tier.HANDLER_HIT
+    hit_key = (handler_hit, 0, 0, False)
+    # a breakdown depends only on these probe features, whose first is the tier, so
+    # equal ones share [breakdown, requests]
+    shared: dict[tuple, list] = {}
     for now, fid in zip(trace.timestamps_ms, trace.function_ids):
         profile, candidates, footprint = per_function[fid]
-        worker = _select_worker(candidates, fid, now, policy)
-        start = max(now, worker.busy_until_ms)
+        worker = _select_worker(candidates, fid, now, policy, last_worker)
+        start = worker.busy_until_ms
+        if start <= now:
+            start = now
+            worker._starts.clear()  # idle: every start it holds has passed, so it stays bounded
         worker.expire_handler(start)
         probe = classify_request(profile, worker.handler, worker.install, worker.imports)
-        key = (probe.tier, len(probe.cold), len(probe.preinstalled), probe.forked_node_id is not None)
-        breakdown = breakdowns.get(key)
-        if breakdown is None:
-            breakdown = breakdowns[key] = init_latency(probe, model)
-        tally[key] += 1
+        if probe.tier is handler_hit:
+            key = hit_key
+        else:
+            cold = probe.cold
+            node = probe.forked_node_id
+            key = (probe.tier, len(cold), len(probe.preinstalled), node is not None)
+            if cold:
+                for pkg in sorted(cold):
+                    worker.install.insert(pkg, package_size)
+            if node is not None:
+                worker.imports.touch(node, start)
+                if cold or probe.preinstalled:
+                    worker.imports.insert(node, profile.dependencies, start)
+        entry = shared.get(key)
+        if entry is None:
+            entry = shared[key] = [init_latency(probe, model), 0]
+        entry[1] += 1
+        breakdown = entry[0]
         exec_ms = profile.exec_duration_ms
         completion = start + breakdown.total_ms + exec_ms
         worker.begin(start, completion)
         worker.handler.insert(fid, footprint, completion)
-        if probe.tier is not Tier.HANDLER_HIT:
-            for pkg in sorted(probe.cold):
-                worker.install.insert(pkg, package_size)
-            imports = worker.imports
-            if imports is not None and probe.forked_node_id is not None:
-                imports.touch(probe.forked_node_id, start)
-                if probe.preinstalled or probe.cold:
-                    imports.insert(probe.forked_node_id, profile.dependencies, start)
         if sink is not None:
             sink(
                 RequestOutcome(
@@ -327,7 +349,7 @@ def run(
                     total_ms=breakdown.total_ms + exec_ms + shutdown_ms,
                 )
             )
-    return _summarize((key[0], breakdowns[key].total_ms, count) for key, count in tally.items())
+    return _summarize((key[0], b.total_ms, count) for key, (b, count) in shared.items())
 
 
 def _stack_distance_counts(function_ids: Sequence[str], depth: int) -> list[int]:

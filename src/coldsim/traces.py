@@ -74,6 +74,14 @@ class Trace:
     def __len__(self) -> int:
         return len(self.timestamps_ms)
 
+    @classmethod
+    def _from_valid_columns(cls, timestamps_ms: tuple[int, ...], function_ids: tuple[str, ...]) -> "Trace":
+        """A trace from two tuples already known to pass ``__post_init__``'s checks, unchecked."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "timestamps_ms", timestamps_ms)
+        object.__setattr__(trace, "function_ids", function_ids)
+        return trace
+
 
 @dataclass(frozen=True)
 class FunctionProfile:
@@ -188,7 +196,8 @@ def parse_trace(stream: IO[str]) -> Trace:
     timestamps = tuple(stamps.tolist())
     del stamps
     names = np.array(list(codes), dtype=object)
-    return Trace(timestamps, tuple(names[rows].tolist()))
+    # every row was checked as it was parsed, and the rows are now sorted
+    return Trace._from_valid_columns(timestamps, tuple(names[rows].tolist()))
 
 
 def _parse_rows(lines: Iterable[str], lineno: int, codes: dict[str, int]) -> tuple[list[int], list[int]]:
@@ -352,7 +361,8 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> Trace:
     ranks = np.searchsorted(cdf, rng.random(spec.num_requests), side="right")
     stamps = np.sort(rng.integers(0, spec.duration_ms, size=spec.num_requests))
     names = [function_name(r, spec.num_functions) for r in range(spec.num_functions)]
-    return Trace(tuple(stamps.tolist()), tuple(map(names.__getitem__, ranks.tolist())))
+    # sorted stamps in [0, duration_ms) and non-empty names are valid by construction
+    return Trace._from_valid_columns(tuple(stamps.tolist()), tuple(map(names.__getitem__, ranks.tolist())))
 
 
 def request_counts(trace: Trace) -> Counter:

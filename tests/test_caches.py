@@ -219,6 +219,9 @@ def test_import_best_node_prefers_deeper_then_lower_id():
     deep = tree.insert(mid, {"a", "b"}, 3)
     node_id, _ = tree.best_node({"a", "b", "c"})
     assert node_id == deep  # same set size as `shallow`, greater depth
+    assert tree.best_node({"a", "b"}) == (deep, frozenset())  # also when the set matches exactly
+    tree.insert(tree.ROOT_ID, {"a", "b"}, 3)
+    assert tree.best_node({"a", "b"}) == (deep, frozenset())
     first = tree.insert(tree.ROOT_ID, {"x"}, 4)
     second = tree.insert(tree.ROOT_ID, {"y"}, 5)
     node_id, _ = tree.best_node({"x", "y"})
@@ -291,7 +294,7 @@ def test_import_tree_invariants_after_random_ops():
 
 
 _TREE_OPS = st.tuples(
-    # touches outnumber inserts so that stale heap entries pile up and force rebuilds
+    # touches outnumber inserts so that leaves often move within the eviction order
     st.sampled_from(["insert", "touch", "touch", "touch", "best_node"]),
     st.integers(0, 1000),  # picks one of the current nodes
     st.frozensets(st.sampled_from("abcdef"), max_size=3),
@@ -326,8 +329,14 @@ def test_import_tree_matches_brute_force_oracle(max_nodes, ops):
         assert tree.node_ids() == sorted(oracle.nodes)
         for n in tree.node_ids():
             assert [tree.packages(n), tree.parent(n)] == oracle.nodes[n][:2]
-        # stale eviction entries are rebuilt away instead of piling up
-        assert len(tree._leaf_heap) <= ImportCacheTree.HEAP_SLACK * max_nodes
+        # the eviction order holds exactly the non-root leaves, by fork time, highest id first
+        parents = {parent for _, parent, _, _ in oracle.nodes.values()}
+        leaves = [n for n in oracle.nodes if n != oracle.ROOT_ID and n not in parents]
+        assert tree._leaves == sorted((oracle.nodes[n][3], -n) for n in leaves)
+        # the exact-set index holds the current nodes and nothing else
+        indexed = sorted(node.node_id for same in tree._by_packages.values() for node in same)
+        assert indexed == tree.node_ids()
+        assert set(tree._by_packages) == {tree.packages(n) for n in indexed}
 
 
 # --- classification -----------------------------------------------------------
@@ -376,20 +385,28 @@ def test_classify_install_hit_without_import_nodes():
 @given(
     st.frozensets(st.sampled_from("abcdefgh"), max_size=6),
     st.frozensets(st.sampled_from("abcdefgh"), max_size=6),
-    st.frozensets(st.sampled_from("abcdefgh"), max_size=4),
+    st.lists(st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=3), max_size=6),
+    st.sampled_from(["tree", "no tree", "handler hit"]),
 )
-def test_classify_partitions_the_dependency_set(deps, installed, imported):
+def test_classify_partitions_the_dependency_set(deps, installed, grows, case):
+    # the probe result does not check this itself: classify_request must build it so
     handler = HandlerCache(MB)
+    if case == "handler hit":
+        handler.insert("fn", 1)
     install = InstallCache(MB)
     for pkg in sorted(installed):
         install.insert(pkg, 1)
-    tree = ImportCacheTree(4)
-    if imported:
-        tree.insert(tree.ROOT_ID, imported, 1)
+    tree = None
+    if case == "tree":
+        tree = ImportCacheTree(4)
+        for packages in grows:  # each set goes under its best fit so far, as in a run
+            node_id, missing = tree.best_node(packages)
+            if missing:
+                tree.insert(node_id, packages, 1)
     result = classify_request(profile(deps=deps), handler, install, tree)
-    assert result.preimported | result.preinstalled | result.cold == deps
-    assert result.preimported <= deps
-    assert len(result.preimported) + len(result.preinstalled) + len(result.cold) == len(deps)
+    sets = (result.preimported, result.preinstalled, result.cold)
+    assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
+    assert sets[0] | sets[1] | sets[2] == (frozenset() if case == "handler hit" else deps)
 
 
 # --- latency model -------------------------------------------------------------
@@ -472,12 +489,3 @@ def test_tier_ordering_under_preset():
         <= miss.total_ms
         <= miss_no_tree.total_ms
     )
-
-
-def test_lookup_result_rejects_overlapping_sets():
-    with pytest.raises(ValueError, match="disjoint"):
-        CacheLookupResult(
-            Tier.IMPORT_HIT,
-            preimported=frozenset({"a"}),
-            preinstalled=frozenset({"a"}),
-        )

@@ -373,6 +373,31 @@ def test_simulate_malformed_config_exits_2(simulate_inputs, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"latency_model": {"bogus": 1}}, "unknown latency_model keys: ['bogus']"),
+        ({"latency_model": [1]}, "latency_model must be an object"),
+        ({"latency_model": {"fork_ms": None}}, "latency_model.fork_ms must be an integer, not null"),
+        ({"import_max_nodes": None}, "import_max_nodes must be an integer, not null"),
+        ({"handler_capacity_bytes": [1]}, "handler_capacity_bytes must be an integer, not [1]"),
+        ({"footprint_overrides": {"f": {}}}, "footprint_overrides['f'] must be an integer, not {}"),
+    ],
+    ids=["unknown-phase", "model-not-object", "phase-null", "nodes-null", "capacity-list",
+         "override-object"],
+)
+def test_simulate_mistyped_config_value_exits_2(simulate_inputs, tmp_path, capsys, payload, message):
+    trace, profiles, partition = simulate_inputs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "result.json"
+    rc = main(["simulate", str(trace), str(profiles), str(partition), "--config", str(config),
+               "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_written_alongside_out(small_trace, tmp_path):
     out = tmp_path / "skew.json"
     assert main(["analyze", str(small_trace), "--quiet", "--out", str(out)]) == 0

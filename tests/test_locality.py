@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -17,6 +20,7 @@ from coldsim.locality import (
 )
 from coldsim.traces import FunctionProfile, synthesize_profiles
 
+from conftest import REPO_ROOT
 from reference import best_partition_score, pooled_intra_similarity, reference_cluster
 
 
@@ -403,3 +407,23 @@ def test_partition_json_roundtrip():
     profiles = [profile(f, {"x"}) for f in ("a", "b", "c")]
     partition = partition_round_robin(profiles, 2, 5, {"a": 3, "b": 2, "c": 1})
     assert Partition.from_dict(partition.to_dict()) == partition
+
+
+_GRAPH_ORDER = """
+from coldsim.locality import build_dependency_graph
+from coldsim.traces import synthesize_profiles
+ids = [f"f{i:03d}" for i in range(200)]
+graph = build_dependency_graph(synthesize_profiles(ids, catalog_size=30, seed=4))
+print(list(graph.weights))
+"""
+
+
+def test_dependency_graph_order_does_not_follow_the_hash_seed():
+    def weights_order(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", _GRAPH_ORDER], env=env, capture_output=True,
+                              text=True, check=True)
+        return done.stdout
+
+    first = weights_order("1")
+    assert first.startswith("[(") and first == weights_order("2")

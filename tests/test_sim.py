@@ -3,11 +3,13 @@ import io
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coldsim import sim
 from coldsim.locality import LocalityGroup, Partition, partition_round_robin
 from coldsim.sim import (
     PER_REQUEST_CSV_HEADER,
@@ -159,19 +161,9 @@ def test_run_aggregates_match_sorting_oracle(seed, requests, policy):
     assert dataclasses.asdict(result) == reference_summary(collected)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(0, 2**32),
-    st.integers(0, 80),
-    st.sampled_from(RoutingPolicy),
-    st.sampled_from([None, 0, 5, 40, 400]),
-    st.sampled_from([0, 1, 2, 4]),
-    st.booleans(),
-)
-@example(seed=0, requests=60, policy=RoutingPolicy.HANDLER_AFFINITY, keep_alive_ms=0,
-         import_max_nodes=0, overrides=False)
-def test_run_matches_whole_run_reference(seed, requests, policy, keep_alive_ms, import_max_nodes,
-                                         overrides):
+def small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides):
+    """A random run on tiny caches and small phases, so that queues drain and
+    keep-alive windows end between arrivals."""
     rnd = random.Random(seed)
     profiles = [
         make_profile(f"fn{i}", deps=rnd.sample("abcdef", rnd.randint(0, 4)),
@@ -189,7 +181,6 @@ def test_run_matches_whole_run_reference(seed, requests, policy, keep_alive_ms, 
         install_capacity_bytes=rnd.randint(2, 10),
         import_max_nodes=import_max_nodes,
         keep_alive_ms=keep_alive_ms,
-        # small phases, so that queues drain and keep-alive windows end between arrivals
         latency_model=LatencyModel(
             code_load_ms=rnd.randint(0, 9), download_ms_per_package=rnd.randint(0, 9),
             install_ms_per_package=rnd.randint(0, 9), import_ms_per_package=rnd.randint(0, 9),
@@ -204,7 +195,74 @@ def test_run_matches_whole_run_reference(seed, requests, policy, keep_alive_ms, 
         ),
         package_size_bytes=2,
     )
+    return trace, profiles, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 80),
+    st.sampled_from(RoutingPolicy),
+    st.sampled_from([None, 0, 5, 40, 400]),
+    st.sampled_from([0, 1, 2, 4]),
+    st.booleans(),
+)
+@example(seed=0, requests=60, policy=RoutingPolicy.HANDLER_AFFINITY, keep_alive_ms=0,
+         import_max_nodes=0, overrides=False)
+def test_run_matches_whole_run_reference(seed, requests, policy, keep_alive_ms, import_max_nodes,
+                                         overrides):
+    trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes,
+                                        overrides)
     assert outcomes_of(trace, profiles, config) == reference_run(trace, profiles, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 80),
+    st.sampled_from([None, 0, 5, 40, 400]),
+    st.sampled_from([0, 2]),
+    st.booleans(),
+)
+def test_affinity_has_at_most_one_live_holder_the_last_server(seed, requests, keep_alive_ms,
+                                                              import_max_nodes, overrides):
+    # routing probes only the worker that served the function last; this is why that suffices
+    trace, profiles, config = small_run(seed, requests, RoutingPolicy.HANDLER_AFFINITY,
+                                        keep_alive_ms, import_max_nodes, overrides)
+    select = sim._select_worker
+
+    def checked(candidates, function_id, now_ms, policy, last_worker):
+        holders = [w for w in candidates if w.handler.live(function_id, now_ms)]
+        assert len(holders) <= 1
+        assert holders == [] or holders[0] is last_worker[function_id]
+        chosen = select(candidates, function_id, now_ms, policy, last_worker)
+        assert holders == [] or chosen is holders[0]
+        return chosen
+
+    with mock.patch.object(sim, "_select_worker", checked):
+        run(trace, profiles, config)
+
+
+@pytest.mark.parametrize("policy", list(RoutingPolicy))
+def test_idle_workers_keep_no_past_starts(policy):
+    profiles = [make_profile("fn"), make_profile("other")]
+    partition = partition_round_robin(profiles, 1, 2, {})
+    config = SimConfig(partition=partition, routing_policy=policy, keep_alive_ms=None)
+    # arrivals far apart: every worker is idle at every arrival, and affinity always hits
+    trace = make_trace(*((i * 10**6, ("fn", "other")[i % 3 == 0]) for i in range(300)))
+    workers = []
+
+    def building(config):
+        pools = build_workers(config)
+        workers.extend(w for pool in pools.values() for w in pool)
+        return pools
+
+    def check(outcome):
+        assert max(len(w._starts) for w in workers) <= 1
+
+    with mock.patch.object(sim, "build_workers", building):
+        run(trace, profiles, config, sink=check)
+    assert len(workers) == 2
 
 
 def test_affinity_checks_liveness_at_arrival_and_expires_at_start():
@@ -373,9 +431,21 @@ def test_route_single_candidate_group():
 def test_route_affinity_beats_idleness():
     workers = build_workers(router_fixture())[0]
     workers[2].handler.insert("fn", 1, 0)
-    chosen = _select_worker(workers, "fn", 10, RoutingPolicy.HANDLER_AFFINITY)
+    last_worker = {"fn": workers[2]}
+    chosen = _select_worker(workers, "fn", 10, RoutingPolicy.HANDLER_AFFINITY, last_worker)
     assert chosen is workers[2]
-    assert _select_worker(workers, "fn", 10, RoutingPolicy.LEAST_LOADED) is workers[0]
+    assert _select_worker(workers, "fn", 10, RoutingPolicy.LEAST_LOADED, {}) is workers[0]
+
+
+def test_route_affinity_falls_back_when_the_last_server_holds_nothing_live():
+    workers = build_workers(router_fixture(keep_alive_ms=5))[0]
+    workers[0].begin(0, 1000)
+    workers[2].handler.insert("fn", 1, 0)
+    last_worker = {"fn": workers[2]}
+    # past keep-alive: the least-loaded idle worker takes it and becomes the last server
+    chosen = _select_worker(workers, "fn", 10, RoutingPolicy.HANDLER_AFFINITY, last_worker)
+    assert chosen is workers[1]
+    assert last_worker == {"fn": workers[1]}
 
 
 def test_route_least_loaded_prefers_shortest_queue():
@@ -383,8 +453,28 @@ def test_route_least_loaded_prefers_shortest_queue():
     workers[0].begin(200, 300)
     workers[0].begin(300, 400)
     workers[2].begin(150, 250)
-    chosen = _select_worker(workers, "fn", 100, RoutingPolicy.LEAST_LOADED)
+    chosen = _select_worker(workers, "fn", 100, RoutingPolicy.LEAST_LOADED, {})
     assert chosen is workers[1]
+
+
+def test_route_least_loaded_counts_queues_only_when_no_worker_is_idle():
+    workers = build_workers(router_fixture())[0]
+    workers[0].begin(200, 300)
+    workers[0].begin(300, 400)
+    workers[1].begin(50, 500)  # started, so its queue is empty though it is busy longest
+    workers[2].begin(150, 250)
+    chosen = _select_worker(workers, "fn", 100, RoutingPolicy.LEAST_LOADED, {})
+    assert chosen is workers[1]
+    # equal queues: the earliest busy_until_ms wins
+    chosen = _select_worker(workers, "fn", 160, RoutingPolicy.LEAST_LOADED, {})
+    assert chosen is workers[2]
+    # busy until just after now with a request still to start: not idle, so queues decide
+    workers = build_workers(router_fixture())[0]
+    workers[0].begin(50, 500)
+    workers[1].begin(50, 600)
+    workers[2].begin(101, 101)
+    chosen = _select_worker(workers, "fn", 100, RoutingPolicy.LEAST_LOADED, {})
+    assert chosen is workers[0]
 
 
 # --- global LRU and the cache-size sweep ----------------------------------------

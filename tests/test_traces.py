@@ -230,6 +230,20 @@ def test_parse_peak_memory_is_bounded_per_row():
     assert peak / len(trace) < 100, f"{peak / len(trace):.1f} peak bytes per row"
 
 
+def test_parse_and_generate_build_traces_without_rechecking_rows():
+    text = f"{TRACE_HEADER}\n7,b\n3,a\n7,a\n"
+    spec = SyntheticTraceSpec(num_functions=5, num_requests=50, zipf_exponent=1.0, duration_ms=100, seed=2)
+    with mock.patch.object(Trace, "__post_init__", side_effect=AssertionError("re-checked")):
+        parsed = parse_trace(io.StringIO(text))
+        generated = generate_synthetic(spec)
+        with pytest.raises(AssertionError, match="re-checked"):
+            Trace((1,), ("a",))  # direct construction still runs every check
+    assert parsed == Trace((3, 7, 7), ("a", "b", "a"))
+    assert generated == Trace(generated.timestamps_ms, generated.function_ids)
+    with pytest.raises(ValueError, match="sorted"):
+        Trace(parsed.timestamps_ms[::-1], parsed.function_ids)
+
+
 def test_unsorted_records_rejected():
     with pytest.raises(ValueError, match="sorted"):
         Trace((5, 1), ("a", "b"))
