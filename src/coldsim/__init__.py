@@ -23,7 +23,6 @@ from .locality import (
     build_dependency_graph,
     partition_clustered,
     partition_round_robin,
-    rebalance,
 )
 from .caches import (
     CacheLookupResult,
@@ -73,7 +72,6 @@ __all__ = [
     "partition_clustered",
     "partition_round_robin",
     "popularity_cdf",
-    "rebalance",
     "request_counts",
     "run",
     "simple_lru_hit_rate",

@@ -32,6 +32,7 @@ from .sim import (
     write_per_request_csv,
 )
 from .traces import (
+    DEFAULT_THRESHOLD_TARGETS,
     SyntheticTraceSpec,
     function_name,
     generate_synthetic,
@@ -197,11 +198,17 @@ _SIM_CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {"partition"}
 
 
 def _config_int(key: str, value) -> int:
-    """``int(value)`` of a simulation config value; a value it cannot take names ``key``."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, not {json.dumps(value)}") from None
+    """``int(value)`` of a simulation config value; a value it cannot take names ``key``.
+
+    A boolean or a non-integral float is refused rather than truncated; an
+    integral float such as ``1e9`` reads as its integer.
+    """
+    if not isinstance(value, bool) and not (isinstance(value, float) and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key} must be an integer, not {json.dumps(value)}")
 
 
 def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
@@ -212,7 +219,12 @@ def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
         raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
 
     def size_of(key, value):
-        return parse_size(value) if isinstance(value, str) else _config_int(key, value)
+        if not isinstance(value, str):
+            return _config_int(key, value)
+        try:
+            return parse_size(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
 
     if "latency_model" in payload:
         phases = payload["latency_model"]
@@ -232,7 +244,12 @@ def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
         value = payload["keep_alive_ms"]
         kwargs["keep_alive_ms"] = None if value is None else _config_int("keep_alive_ms", value)
     if "routing_policy" in payload:
-        kwargs["routing_policy"] = RoutingPolicy(payload["routing_policy"])
+        value = payload["routing_policy"]
+        try:
+            kwargs["routing_policy"] = RoutingPolicy(value)
+        except ValueError:
+            valid = ", ".join(policy.value for policy in RoutingPolicy)
+            raise ValueError(f"routing_policy must be one of {valid}, not {json.dumps(value)}") from None
     if "footprint_overrides" in payload:
         overrides = payload["footprint_overrides"]
         if not isinstance(overrides, dict):
@@ -298,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="popularity CDF and coverage thresholds")
     p.add_argument("trace", help="normalized trace CSV")
-    p.add_argument("--targets", default="0.5,0.8", help="request fractions, comma-separated")
+    p.add_argument("--targets", default=",".join(map(str, DEFAULT_THRESHOLD_TARGETS)),
+                   help="request fractions, comma-separated (default: %(default)s)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", parents=[common], help="synthetic trace and profile catalog")

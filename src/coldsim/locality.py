@@ -113,10 +113,6 @@ def _field(obj, key: str, kind: type, item: type | None = None):
     return value
 
 
-# rebalance re-clusters only when more than this share of window requests drifted
-REBALANCE_DRIFT_THRESHOLD = 0.1
-
-
 def build_dependency_graph(profiles: Sequence[FunctionProfile]) -> DependencyGraph:
     """Jaccard similarity over dependency sets; pairs sharing nothing get no edge."""
     if not profiles:
@@ -240,14 +236,18 @@ def _cluster_runtime(fids: Iterable[str], graph: DependencyGraph, target: int) -
     lexicographically smallest pair of lowest member ids. Once no positive
     cross weight remains, merge by ascending size then lowest id.
 
-    Cluster ``i`` keeps the index of its lowest member in ``ordered``.
+    Cluster ``i`` keeps the index of its lowest member in ``ordered``, which
+    is sorted, so cluster indices follow name order and a pair of indices
+    breaks ties exactly as its pair of lowest member ids would.
     ``links[i][k]``, stored on both sides, is the summed edge weight between
     live clusters ``i`` and ``k``. Candidate pairs live in a heap with lazy
     invalidation: every entry snapshots the sizes of both clusters, and a
     merge grows the surviving cluster, so an entry whose sizes no longer
-    match (or whose cluster is gone) is stale and skipped on pop. Each merge
-    only re-pushes the merged cluster's pairs. The selection order is
-    identical to a full argmax scan.
+    match (or whose cluster is gone) is stale and skipped on pop. For the
+    same reason no entry is pushed twice, so entries are totally ordered
+    and push order cannot change pop order. Each merge only re-pushes the
+    merged cluster's pairs. The selection order is identical to a full
+    argmax scan.
     """
     ordered = sorted(fids)
     index = {f: i for i, f in enumerate(ordered)}
@@ -258,12 +258,12 @@ def _cluster_runtime(fids: Iterable[str], graph: DependencyGraph, target: int) -
         if a in index and b in index:
             i, j = index[a], index[b]  # a < b, so i < j
             links[i][j] = links[j][i] = w
-            heap.append((-w, (a, b), i, j, 1, 1))  # singletons: avg weight == edge weight
+            heap.append((-w, i, j, 1, 1))  # singletons: avg weight == edge weight
     heapq.heapify(heap)
 
     while len(members) > target:
         while heap:
-            _, _, i, j, size_i, size_j = heapq.heappop(heap)
+            _, i, j, size_i, size_j = heapq.heappop(heap)
             if len(members.get(i, ())) == size_i and len(members.get(j, ())) == size_j:
                 break
         else:
@@ -276,11 +276,10 @@ def _cluster_runtime(fids: Iterable[str], graph: DependencyGraph, target: int) -
             if k != i:
                 del links[k][j]
                 merged[k] = links[k][i] = merged.get(k, 0.0) + w
-        for k in sorted(merged):
+        for k, w in merged.items():
             a, b = (i, k) if i < k else (k, i)
             size_a, size_b = len(members[a]), len(members[b])
-            entry = (-merged[k] / (size_a * size_b), (ordered[a], ordered[b]), a, b, size_a, size_b)
-            heapq.heappush(heap, entry)
+            heapq.heappush(heap, (-w / (size_a * size_b), a, b, size_a, size_b))
     return sorted((frozenset(fns) for fns in members.values()), key=min)
 
 
@@ -313,52 +312,3 @@ def mean_intra_group_similarity(
             pairs += 1
     return total / pairs if pairs else 0.0
 
-
-def rebalance(
-    partition: Partition,
-    window_popularity: Mapping[str, int],
-    graph: DependencyGraph,
-) -> Partition:
-    """Refresh worker allocation against a recent popularity window.
-
-    Group memberships are re-clustered only when drift exceeds
-    ``REBALANCE_DRIFT_THRESHOLD``, where drift is the window-request share of
-    functions whose group moved in the popularity ranking (current worker
-    counts stand in for the previous ranking; ties in worker count form an
-    exchangeable band, so an unchanged window is always a fixed point).
-    """
-    groups = sorted(partition.groups, key=lambda g: g.group_id)
-    group_pop = {
-        g.group_id: sum(window_popularity.get(f, 0) for f in g.function_ids)
-        for g in groups
-    }
-    total_window = sum(group_pop.values())
-
-    old_order = sorted(groups, key=lambda g: (-g.worker_count, g.group_id))
-    new_order = sorted(groups, key=lambda g: (-group_pop[g.group_id], g.group_id))
-    drifted = sum(
-        group_pop[g.group_id]
-        for old, g in zip(old_order, new_order)
-        if old.worker_count != g.worker_count
-    )
-    drift = drifted / total_window if total_window else 0.0
-
-    if drift > REBALANCE_DRIFT_THRESHOLD:
-        by_runtime: dict[str, list[frozenset[str]]] = defaultdict(list)
-        for g in groups:
-            by_runtime[g.runtime].append(g.function_ids)
-        member_sets = [
-            (runtime, cluster)
-            for runtime, sets in sorted(by_runtime.items())
-            for cluster in _cluster_runtime(frozenset().union(*sets), graph, len(sets))
-        ]
-        return _assemble(member_sets, partition.total_workers, window_popularity)
-
-    counts = allocate_workers(
-        [g.function_ids for g in groups], partition.total_workers, window_popularity
-    )
-    rebuilt = tuple(
-        LocalityGroup(g.group_id, g.runtime, g.function_ids, counts[i])
-        for i, g in enumerate(groups)
-    )
-    return Partition(rebuilt, partition.total_workers)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from coldsim.cli import main, parse_size
+from coldsim.cli import _build_sim_config, main, parse_size
+from coldsim.locality import LocalityGroup, Partition
 
 from conftest import REPO_ROOT
 
@@ -382,9 +383,17 @@ def test_simulate_malformed_config_exits_2(simulate_inputs, tmp_path, capsys):
         ({"import_max_nodes": None}, "import_max_nodes must be an integer, not null"),
         ({"handler_capacity_bytes": [1]}, "handler_capacity_bytes must be an integer, not [1]"),
         ({"footprint_overrides": {"f": {}}}, "footprint_overrides['f'] must be an integer, not {}"),
+        ({"keep_alive_ms": True}, "keep_alive_ms must be an integer, not true"),
+        ({"import_max_nodes": 2.7}, "import_max_nodes must be an integer, not 2.7"),
+        ({"keep_alive_ms": float("inf")}, "keep_alive_ms must be an integer, not Infinity"),
+        ({"latency_model": {"shutdown_ms": True}}, "latency_model.shutdown_ms must be an integer, not true"),
+        ({"footprint_bytes": "12 apples"}, "footprint_bytes: unparseable size: '12 apples'"),
+        ({"routing_policy": "Fastest"},
+         "routing_policy must be one of LeastLoaded, HandlerAffinity, not \"Fastest\""),
     ],
     ids=["unknown-phase", "model-not-object", "phase-null", "nodes-null", "capacity-list",
-         "override-object"],
+         "override-object", "keep-alive-true", "nodes-float", "keep-alive-infinity", "phase-true", "size-unparseable",
+         "policy-unknown"],
 )
 def test_simulate_mistyped_config_value_exits_2(simulate_inputs, tmp_path, capsys, payload, message):
     trace, profiles, partition = simulate_inputs
@@ -396,6 +405,15 @@ def test_simulate_mistyped_config_value_exits_2(simulate_inputs, tmp_path, capsy
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_config_reads_integral_floats_as_integers():
+    partition = Partition((LocalityGroup(0, "python", frozenset({"f"}), 1),), 1)
+    payload = {"keep_alive_ms": 6e4, "handler_capacity_bytes": 1e9, "latency_model": {"fork_ms": 15.0}}
+    config = _build_sim_config(partition, payload)
+    assert (config.keep_alive_ms, config.handler_capacity_bytes) == (60_000, 1_000_000_000)
+    assert type(config.keep_alive_ms) is int and type(config.handler_capacity_bytes) is int
+    assert type(config.latency_model.fork_ms) is int
 
 
 def test_manifest_written_alongside_out(small_trace, tmp_path):

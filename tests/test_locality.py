@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coldsim.locality import (
-    DependencyGraph,
     LocalityGroup,
     Partition,
     allocate_workers,
@@ -16,7 +15,6 @@ from coldsim.locality import (
     mean_intra_group_similarity,
     partition_clustered,
     partition_round_robin,
-    rebalance,
 )
 from coldsim.traces import FunctionProfile, synthesize_profiles
 
@@ -313,75 +311,6 @@ def test_allocate_sums_and_floors(counts, extra):
     allocation = allocate_workers(groups, workers, popularity)
     assert sum(allocation) == workers
     assert all(count >= 1 for count in allocation)
-
-
-# --- rebalance --------------------------------------------------------------
-
-
-def test_rebalance_unchanged_window_is_fixed_point():
-    profiles = [profile(f, {"x"}) for f in ("a", "b", "c", "d")]
-    popularity = {"a": 40, "b": 30, "c": 20, "d": 10}
-    graph = build_dependency_graph(profiles)
-    partition = partition_round_robin(profiles, 2, 10, popularity)
-    assert rebalance(partition, popularity, graph) == partition
-
-
-def test_rebalance_shifts_workers_toward_hot_group():
-    groups = (
-        LocalityGroup(0, "python", frozenset({"a"}), 5),
-        LocalityGroup(1, "python", frozenset({"b"}), 5),
-    )
-    partition = Partition(groups, 10)
-    graph = DependencyGraph(frozenset({"a", "b"}), {})
-    window = {"a": 200, "b": 50}
-    result = rebalance(partition, window, graph)
-    assert [g.worker_count for g in result.groups] == [8, 2]
-    assert group_sets(result) == group_sets(partition)
-
-
-def test_rebalance_empty_window_splits_equally():
-    groups = (
-        LocalityGroup(0, "python", frozenset({"a"}), 7),
-        LocalityGroup(1, "python", frozenset({"b"}), 3),
-    )
-    partition = Partition(groups, 10)
-    graph = DependencyGraph(frozenset({"a", "b"}), {})
-    result = rebalance(partition, {}, graph)
-    assert [g.worker_count for g in result.groups] == [5, 5]
-    assert group_sets(result) == group_sets(partition)
-
-
-def test_rebalance_reclusters_on_large_drift():
-    profiles = [
-        profile("a1", {"x", "y"}),
-        profile("a2", {"x", "y"}),
-        profile("b1", {"u", "v"}),
-        profile("b2", {"u", "v"}),
-    ]
-    graph = build_dependency_graph(profiles)
-    original_popularity = {"a1": 50, "b1": 10, "a2": 30, "b2": 10}
-    partition = partition_round_robin(profiles, 2, 10, original_popularity)
-    # round robin mixes the two dependency cliques
-    assert group_sets(partition) == {frozenset({"a1", "b1"}), frozenset({"a2", "b2"})}
-    assert [g.worker_count for g in partition.groups] == [6, 4]
-    window = {"a2": 50, "b2": 30, "a1": 10, "b1": 10}
-    result = rebalance(partition, window, graph)
-    assert group_sets(result) == {frozenset({"a1", "a2"}), frozenset({"b1", "b2"})}
-    assert [g.worker_count for g in result.groups] == [6, 4]
-    check_invariants(result, profiles, 10)
-
-
-def test_rebalance_below_threshold_keeps_memberships():
-    groups = (
-        LocalityGroup(0, "python", frozenset({"a"}), 6),
-        LocalityGroup(1, "python", frozenset({"b"}), 4),
-    )
-    partition = Partition(groups, 10)
-    graph = DependencyGraph(frozenset({"a", "b"}), {})
-    # order unchanged, only magnitudes move: no drift, allocation refreshed
-    result = rebalance(partition, {"a": 70, "b": 30}, graph)
-    assert group_sets(result) == group_sets(partition)
-    assert [g.worker_count for g in result.groups] == [7, 3]
 
 
 # --- partition type invariants ----------------------------------------------
