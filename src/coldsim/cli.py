@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 
 from . import __version__
 from .caches import LatencyModel
@@ -57,22 +57,16 @@ def parse_size(text: str) -> int:
     return int(match.group(1)) * _SIZE_FACTORS[(match.group(2) or "B").upper()]
 
 
-def parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_digest: str
-    input_paths: tuple[str, ...]
-    output_paths: tuple[str, ...]
-    seed: int | None  # only generate draws random numbers
-    tool_version: str
-
-    def to_json(self) -> str:
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
-        return json.dumps(payload, sort_keys=True, indent=2)
+def _flag_type(parse, comma_separated: bool = False):
+    """argparse ``type``: ``parse`` of the value, or of each comma-separated part; a ValueError names the flag."""
+    def convert(text: str):
+        try:
+            if comma_separated:
+                return [parse(part) for part in text.split(",") if part.strip()]
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _digest(command: str, parameters: dict, inputs: list[str]) -> str:
@@ -96,15 +90,11 @@ def _info(args, message: str) -> None:
 def _finish(args, command: str, parameters: dict, inputs: list[str], outputs: list[str]) -> int:
     """Write the run manifest next to the first file output, if any."""
     if outputs:
-        manifest = RunManifest(
-            command=command,
-            config_digest=_digest(command, parameters, inputs),
-            input_paths=tuple(inputs),
-            output_paths=tuple(outputs),
-            seed=getattr(args, "seed", None),
-            tool_version=__version__,
-        )
-        _write_text(outputs[0] + ".manifest.json", manifest.to_json() + "\n")
+        manifest = {"command": command, "config_digest": _digest(command, parameters, inputs),
+                    "input_paths": inputs, "output_paths": outputs, "tool_version": __version__}
+        if getattr(args, "seed", None) is not None:  # only generate draws random numbers
+            manifest["seed"] = args.seed
+        _write_text(outputs[0] + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         for path in outputs:
             _info(args, f"wrote {path}")
     return 0
@@ -121,10 +111,9 @@ def _emit(args, text: str) -> list[str]:
 
 def cmd_analyze(args) -> int:
     trace = load_trace(args.trace)
-    targets = parse_float_list(args.targets)
-    summary = popularity_cdf(trace, targets)
+    summary = popularity_cdf(trace, args.targets)
     outputs = _emit(args, summary.to_json() + "\n")
-    return _finish(args, "analyze", {"targets": targets}, [args.trace], outputs)
+    return _finish(args, "analyze", {"targets": args.targets}, [args.trace], outputs)
 
 
 def cmd_generate(args) -> int:
@@ -289,15 +278,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     trace = load_trace(args.trace)
-    sizes = [parse_size(s) for s in args.sizes.split(",") if s.strip()]
-    if not sizes:
+    if not args.sizes:
         raise ValueError("--sizes must name at least one cache size")
-    footprint = parse_size(args.footprint)
-    rows = sweep_cache_sizes(trace, sizes, footprint)
+    rows = sweep_cache_sizes(trace, args.sizes, args.footprint)
     lines = ["cache_bytes,hit_rate"]
     lines.extend(f"{size},{rate:.6f}" for size, rate in rows)
     outputs = _emit(args, "\n".join(lines) + "\n")
-    parameters = {"sizes": sorted(sizes), "footprint_bytes": footprint}
+    parameters = {"sizes": sorted(args.sizes), "footprint_bytes": args.footprint}
     return _finish(args, "sweep", parameters, [args.trace], outputs)
 
 
@@ -316,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common], help="popularity CDF and coverage thresholds")
     p.add_argument("trace", help="normalized trace CSV")
     p.add_argument("--targets", default=",".join(map(str, DEFAULT_THRESHOLD_TARGETS)),
+                   type=_flag_type(float, comma_separated=True),
                    help="request fractions, comma-separated (default: %(default)s)")
     p.set_defaults(func=cmd_analyze)
 
@@ -356,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="global-LRU hit rate by cache size")
     p.add_argument("trace")
-    p.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 1GiB,2GiB")
-    p.add_argument("--footprint", default="256MiB", help="per-instance footprint")
+    p.add_argument("--sizes", required=True, type=_flag_type(parse_size, comma_separated=True),
+                   help="comma-separated sizes, e.g. 1GiB,2GiB")
+    p.add_argument("--footprint", default="256MiB", type=_flag_type(parse_size), help="per-instance footprint")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
-from .traces import FunctionProfile
+from .traces import FunctionProfile, index_profiles
 
 
 @dataclass(frozen=True)
@@ -117,11 +116,7 @@ def build_dependency_graph(profiles: Sequence[FunctionProfile]) -> DependencyGra
     """Jaccard similarity over dependency sets; pairs sharing nothing get no edge."""
     if not profiles:
         raise ValueError("profiles must be non-empty")
-    deps: dict[str, frozenset[str]] = {}
-    for p in profiles:
-        if p.function_id in deps:
-            raise ValueError(f"duplicate function_id {p.function_id!r}")
-        deps[p.function_id] = p.dependencies
+    deps = {fid: p.dependencies for fid, p in index_profiles(profiles).items()}
     by_package: dict[str, list[str]] = defaultdict(list)
     for fid in sorted(deps):
         for pkg in sorted(deps[fid]):  # not set order, which follows the string hash seed
@@ -144,67 +139,56 @@ def allocate_workers(
 ) -> list[int]:
     """Apportion workers to groups by popularity share, largest remainder.
 
-    Exact rational arithmetic: floors of share*total, any zero lifted to one,
-    then the leftover distributed by descending fractional remainder (ties by
-    group index ascending). Zero total popularity means an equal split.
-    Scale-invariant in the popularity counts.
+    Exact integer arithmetic: floors of weight*total/total_weight, any zero
+    lifted to one, then the leftover distributed by descending remainder
+    (ties by group index ascending). Zero total popularity means an equal
+    split; a negative one is refused. Scale-invariant in the popularity counts.
     """
     n = len(groups)
     if n == 0:
         raise ValueError("no groups to allocate")
     if total_workers < n:
         raise ValueError("insufficient workers")
+    negative = sorted(f for g in groups for f in g if popularity.get(f, 0) < 0)
+    if negative:
+        raise ValueError(f"popularity of {negative[0]!r} must be >= 0")
     weights = [sum(popularity.get(f, 0) for f in g) for g in groups]
+    if not any(weights):
+        weights = [1] * n
     total_weight = sum(weights)
-    if total_weight <= 0:
-        shares = [Fraction(1, n)] * n
-    else:
-        shares = [Fraction(w) / Fraction(total_weight) for w in weights]
-    raw = [s * total_workers for s in shares]
-    counts = [max(1, int(r)) for r in raw]
-    remainders = [r - int(r) for r in raw]
+    shares = [divmod(w * total_workers, total_weight) for w in weights]
+    counts = [max(1, floor) for floor, _ in shares]
     diff = total_workers - sum(counts)
     if diff > 0:
-        order = sorted(range(n), key=lambda i: (-remainders[i], i))
-        for i in order[:diff]:
+        for i in sorted(range(n), key=lambda i: (-shares[i][1], i))[:diff]:
             counts[i] += 1
     elif diff < 0:
-        # min-1 lifts overshot the total: take back from the lowest-priority
-        # groups that can spare a worker
-        order = sorted(range(n), key=lambda i: (remainders[i], -i))
-        while diff < 0:
-            for i in order:
-                if counts[i] > 1:
-                    counts[i] -= 1
-                    diff += 1
-                    break
-            else:
-                raise ValueError("insufficient workers")
+        # the lifts overshot; total_workers >= n leaves enough above one worker to take back
+        for i in sorted(range(n), key=lambda i: (shares[i][1], -i)):
+            take = min(counts[i] - 1, -diff)
+            counts[i] -= take
+            diff += take
     return counts
 
 
-def _functions_by_runtime(profiles: Sequence[FunctionProfile]) -> dict[str, list[str]]:
-    grouped: dict[str, list[str]] = defaultdict(list)
-    seen = set()
-    for p in profiles:
-        if p.function_id in seen:
-            raise ValueError(f"duplicate function_id {p.function_id!r}")
-        seen.add(p.function_id)
-        grouped[p.runtime].append(p.function_id)
-    return {rt: sorted(fids) for rt, fids in sorted(grouped.items())}
-
-
-def _assemble(
-    member_sets: list[tuple[str, frozenset[str]]],
+def _partition(
+    profiles: Sequence[FunctionProfile],
+    groups_per_runtime: int,
     total_workers: int,
     popularity: Mapping[str, int],
+    split: Callable[[list[str], int], list[frozenset[str]]],
 ) -> Partition:
+    """Split each runtime's sorted ids with ``split``; group ids follow runtime, then split, order."""
+    if groups_per_runtime < 1:
+        raise ValueError("groups_per_runtime must be >= 1")
+    by_runtime: dict[str, list[str]] = defaultdict(list)
+    for p in index_profiles(profiles).values():
+        by_runtime[p.runtime].append(p.function_id)
+    member_sets = [(runtime, fns) for runtime in sorted(by_runtime)
+                   for fns in split(sorted(by_runtime[runtime]), groups_per_runtime)]
     counts = allocate_workers([fns for _, fns in member_sets], total_workers, popularity)
-    groups = tuple(
-        LocalityGroup(i, runtime, fns, counts[i])
-        for i, (runtime, fns) in enumerate(member_sets)
-    )
-    return Partition(groups, total_workers)
+    groups = (LocalityGroup(i, runtime, fns, counts[i]) for i, (runtime, fns) in enumerate(member_sets))
+    return Partition(tuple(groups), total_workers)
 
 
 def partition_round_robin(
@@ -218,15 +202,10 @@ def partition_round_robin(
     Groups that would come out empty (fewer functions than groups) are
     dropped; they have no routing meaning.
     """
-    if groups_per_runtime < 1:
-        raise ValueError("groups_per_runtime must be >= 1")
-    member_sets: list[tuple[str, frozenset[str]]] = []
-    for runtime, fids in _functions_by_runtime(profiles).items():
-        dealt: list[list[str]] = [[] for _ in range(groups_per_runtime)]
-        for i, fid in enumerate(fids):
-            dealt[i % groups_per_runtime].append(fid)
-        member_sets.extend((runtime, frozenset(fns)) for fns in dealt if fns)
-    return _assemble(member_sets, total_workers, popularity)
+    return _partition(
+        profiles, groups_per_runtime, total_workers, popularity,
+        lambda fids, k: [frozenset(fids[i::k]) for i in range(min(k, len(fids)))],
+    )
 
 
 def _cluster_runtime(fids: Iterable[str], graph: DependencyGraph, target: int) -> list[frozenset[str]]:
@@ -291,13 +270,10 @@ def partition_clustered(
     popularity: Mapping[str, int],
 ) -> Partition:
     """Cluster each runtime class by dependency overlap, then allocate workers."""
-    if groups_per_runtime < 1:
-        raise ValueError("groups_per_runtime must be >= 1")
-    member_sets: list[tuple[str, frozenset[str]]] = []
-    for runtime, fids in _functions_by_runtime(profiles).items():
-        for cluster in _cluster_runtime(fids, graph, groups_per_runtime):
-            member_sets.append((runtime, cluster))
-    return _assemble(member_sets, total_workers, popularity)
+    return _partition(
+        profiles, groups_per_runtime, total_workers, popularity,
+        lambda fids, k: _cluster_runtime(fids, graph, k),
+    )
 
 
 def mean_intra_group_similarity(

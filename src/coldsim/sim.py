@@ -50,7 +50,7 @@ from .caches import (
     init_latency,
 )
 from .locality import Partition
-from .traces import FunctionProfile, Trace
+from .traces import FunctionProfile, Trace, index_profiles
 
 DEFAULT_FOOTPRINT_BYTES = 256 * 1024 * 1024  # uniform per-instance footprint
 DEFAULT_PACKAGE_SIZE_BYTES = 10 * 1024 * 1024
@@ -98,8 +98,10 @@ class SimConfig:
             for fid, size in self.footprint_overrides.items()
         ]
         sizes.append(("package_size_bytes", self.package_size_bytes, "install_capacity_bytes"))
-        for name, size, limit in sizes:
+        for name, size, limit in sizes:  # both capacities are some entry's limit
             capacity = getattr(self, limit)
+            if capacity < 1:
+                raise ValueError(f"{limit} must be >= 1")
             if not 0 <= size <= capacity:
                 raise ValueError(f"{name} = {size} is outside 0..{limit} ({capacity})")
         if isinstance(self.routing_policy, str):
@@ -270,11 +272,7 @@ def run(
     trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig, sink: Sink | None = None
 ) -> SimResult:
     """Simulate the full trace, passing each outcome to ``sink``; see the module docstring."""
-    catalog: dict[str, FunctionProfile] = {}
-    for p in profiles:
-        if p.function_id in catalog:
-            raise ValueError(f"duplicate function_id {p.function_id!r}")
-        catalog[p.function_id] = p
+    catalog = index_profiles(profiles)
     group_of = config.partition.function_to_group()
     function_ids = sorted(set(trace.function_ids))
     for fid in function_ids:

@@ -21,7 +21,7 @@ import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
+from decimal import Decimal
 from itertools import repeat
 from typing import IO, Iterable, Sequence
 
@@ -385,7 +385,9 @@ def popularity_cdf(trace: Trace, targets: Sequence[float] = DEFAULT_THRESHOLD_TA
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     total = len(trace)
     n = len(ranked)
-    pending = sorted(set(targets))
+    # (target, num, den) of the target's decimal rendering, which is what the caller meant, not
+    # the nearest binary double (0.8 as a double exceeds 4/5)
+    pending = [(t, *Decimal(str(t)).as_integer_ratio()) for t in sorted(set(targets))]
     points: list[tuple[float, float]] = []
     thresholds: dict[float, float] = {}
     cum = 0
@@ -393,10 +395,8 @@ def popularity_cdf(trace: Trace, targets: Sequence[float] = DEFAULT_THRESHOLD_TA
         cum += count
         f_frac = (i + 1) / n
         points.append((f_frac, cum / total))
-        # the decimal rendering of the target is what the caller meant, not
-        # the nearest binary double (0.8 as a double exceeds 4/5)
-        while pending and Fraction(cum, total) >= Fraction(str(pending[0])):
-            thresholds[pending.pop(0)] = f_frac
+        while pending and cum * pending[0][2] >= pending[0][1] * total:
+            thresholds[pending.pop(0)[0]] = f_frac
     return SkewSummary(tuple(points), thresholds)
 
 
@@ -448,6 +448,16 @@ def synthesize_profiles(
             FunctionProfile(function_id, runtime, deps, code_size_kb, exec_duration_ms)
         )
     return profiles
+
+
+def index_profiles(profiles: Iterable[FunctionProfile]) -> dict[str, FunctionProfile]:
+    """Profiles by function_id, in input order; a repeated id raises ValueError."""
+    catalog: dict[str, FunctionProfile] = {}
+    for p in profiles:
+        if p.function_id in catalog:
+            raise ValueError(f"duplicate function_id {p.function_id!r}")
+        catalog[p.function_id] = p
+    return catalog
 
 
 def parse_profiles(stream: IO[str] | Iterable[str]) -> list[FunctionProfile]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from fractions import Fraction
 from itertools import combinations
 
 from coldsim.caches import CacheLookupResult, Tier, init_latency
@@ -84,6 +85,46 @@ def best_partition_score(items: list, weights, k: int) -> float:
             best = score
     assert best is not None
     return best
+
+
+def reference_allocate_workers(groups, total_workers: int, popularity) -> list[int]:
+    """Largest-remainder apportionment in exact rationals, one worker at a time.
+
+    Floors of share·total, any zero lifted to one, then the leftover handed
+    out by descending remainder (ties to the lower index); an overshoot from
+    the lifts is taken back one worker per scan from the first group, by
+    ascending remainder (ties to the higher index), that can spare one.
+    """
+    n = len(groups)
+    if n == 0:
+        raise ValueError("no groups to allocate")
+    if total_workers < n:
+        raise ValueError("insufficient workers")
+    weights = [sum(popularity.get(f, 0) for f in g) for g in groups]
+    total_weight = sum(weights)
+    if total_weight <= 0:
+        shares = [Fraction(1, n)] * n
+    else:
+        shares = [Fraction(w) / Fraction(total_weight) for w in weights]
+    raw = [s * total_workers for s in shares]
+    counts = [max(1, int(r)) for r in raw]
+    remainders = [r - int(r) for r in raw]
+    diff = total_workers - sum(counts)
+    if diff > 0:
+        order = sorted(range(n), key=lambda i: (-remainders[i], i))
+        for i in order[:diff]:
+            counts[i] += 1
+    elif diff < 0:
+        order = sorted(range(n), key=lambda i: (remainders[i], -i))
+        while diff < 0:
+            for i in order:
+                if counts[i] > 1:
+                    counts[i] -= 1
+                    diff += 1
+                    break
+            else:
+                raise ValueError("insufficient workers")
+    return counts
 
 
 def reference_cluster(fids, graph, target: int) -> list[frozenset]:

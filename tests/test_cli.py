@@ -390,10 +390,12 @@ def test_simulate_malformed_config_exits_2(simulate_inputs, tmp_path, capsys):
         ({"footprint_bytes": "12 apples"}, "footprint_bytes: unparseable size: '12 apples'"),
         ({"routing_policy": "Fastest"},
          "routing_policy must be one of LeastLoaded, HandlerAffinity, not \"Fastest\""),
+        ({"install_capacity_bytes": 0, "package_size_bytes": 0}, "install_capacity_bytes must be >= 1"),
+        ({"handler_capacity_bytes": 0, "footprint_bytes": 0}, "handler_capacity_bytes must be >= 1"),
     ],
     ids=["unknown-phase", "model-not-object", "phase-null", "nodes-null", "capacity-list",
          "override-object", "keep-alive-true", "nodes-float", "keep-alive-infinity", "phase-true", "size-unparseable",
-         "policy-unknown"],
+         "policy-unknown", "install-capacity-zero", "handler-capacity-zero"],
 )
 def test_simulate_mistyped_config_value_exits_2(simulate_inputs, tmp_path, capsys, payload, message):
     trace, profiles, partition = simulate_inputs
@@ -447,6 +449,24 @@ def test_only_generate_takes_a_seed(argv, capsys):
         main(argv + ["--seed", "1"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "trace.csv", "--sizes", "1GiB,abc"], "argument --sizes: unparseable size: 'abc'"),
+        (["sweep", "trace.csv", "--sizes", "1GiB", "--footprint", "1.5MiB"],
+         "argument --footprint: unparseable size: '1.5MiB'"),
+        (["analyze", "trace.csv", "--targets", "0.5,abc"],
+         "argument --targets: could not convert string to float: 'abc'"),
+    ],
+    ids=["sizes", "footprint", "targets"],
+)
+def test_unparseable_flag_value_names_the_flag(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

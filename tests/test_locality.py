@@ -19,7 +19,12 @@ from coldsim.locality import (
 from coldsim.traces import FunctionProfile, synthesize_profiles
 
 from conftest import REPO_ROOT
-from reference import best_partition_score, pooled_intra_similarity, reference_cluster
+from reference import (
+    best_partition_score,
+    pooled_intra_similarity,
+    reference_allocate_workers,
+    reference_cluster,
+)
 
 
 def profile(fid, deps=(), runtime="python"):
@@ -70,8 +75,15 @@ def test_empty_dependency_sets_get_no_edge():
 
 
 def test_duplicate_profiles_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        build_dependency_graph([profile("a"), profile("a")])
+    a = profile("a")
+    graph = build_dependency_graph([a])
+    for profiles in ([a, profile("a")], [a, a]):  # a repeated id; one profile passed twice
+        with pytest.raises(ValueError, match="duplicate function_id 'a'"):
+            build_dependency_graph(profiles)
+        with pytest.raises(ValueError, match="duplicate function_id 'a'"):
+            partition_round_robin(profiles, 1, 2, {})
+        with pytest.raises(ValueError, match="duplicate function_id 'a'"):
+            partition_clustered(graph, profiles, 1, 2, {})
 
 
 # --- round-robin baseline -------------------------------------------------
@@ -301,6 +313,30 @@ def test_allocate_scale_invariant(counts, scale):
     assert allocate_workers(groups, workers, popularity) == allocate_workers(
         groups, workers, scaled
     )
+
+
+POPULARITY = st.one_of(st.none(), st.just(0), st.just(10**9), st.integers(0, 10**9))  # None: id absent
+
+
+@given(st.lists(st.lists(POPULARITY, min_size=1, max_size=3), min_size=1, max_size=8), st.integers(0, 30))
+@example([[0], [0], [0]], 1)
+@example([[None], [None, None]], 0)
+@example([[10**9], [1], [1], [1]], 0)
+@example([[10**9, 10**9], [None, 0], [7]], 30)
+def test_allocate_matches_fraction_oracle(members, extra):
+    groups = [frozenset(f"g{i}m{j}" for j in range(len(m))) for i, m in enumerate(members)]
+    popularity = {
+        f"g{i}m{j}": count for i, m in enumerate(members) for j, count in enumerate(m) if count is not None
+    }
+    workers = len(groups) + extra
+    assert allocate_workers(groups, workers, popularity) == reference_allocate_workers(
+        groups, workers, popularity
+    )
+
+
+def test_allocate_rejects_negative_popularity():
+    with pytest.raises(ValueError, match="popularity of 'b' must be >= 0"):
+        allocate_workers([{"a"}, {"b", "c"}], 3, {"a": 5, "b": -1, "c": 2})
 
 
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=8), st.integers(1, 30))

@@ -390,6 +390,8 @@ def test_run_validates_profiles_and_partition():
     other = make_profile("ghost")
     with pytest.raises(ValueError, match="unpartitioned function 'ghost'"):
         run(make_trace((0, "ghost")), [prof, other], config)
+    with pytest.raises(ValueError, match="duplicate function_id 'fn'"):
+        run(make_trace((0, "fn")), [prof, prof], config)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4)), max_size=80))
