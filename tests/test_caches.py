@@ -18,7 +18,13 @@ from coldsim.caches import (
 from coldsim.traces import FunctionProfile
 
 from conftest import REPO_ROOT
-from reference import ReferenceHandlerTier, ReferenceImportTree, ReferenceLRU, best_import_node
+from reference import (
+    ReferenceHandlerTier,
+    ReferenceImportTree,
+    ReferenceInstallLRU,
+    ReferenceLRU,
+    best_import_node,
+)
 
 MB = 1024 * 1024
 FIG1 = LatencyModel.fig1_calibration()
@@ -188,6 +194,37 @@ def test_install_insert_evicts_least_recent():
     cache.lookup({"a"})  # refresh a
     assert cache.insert("d", 10) == ["b"]
     assert "a" in cache and "c" in cache and "d" in cache
+
+
+@given(
+    st.integers(1, 40),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("lookup"), st.frozensets(st.sampled_from("abcdefg"))),
+            st.tuples(st.just("insert"), st.sampled_from("abcdefg"), st.integers(0, 40)),
+        ),
+        max_size=60,
+    ),
+)
+@example(capacity=5, ops=[*(("insert", p, 1) for p in "edcba"), ("lookup", frozenset("abcde")),
+                          *(("insert", p, 1) for p in "fgab")])  # a hit refreshes in name order
+def test_install_matches_reference_lru(capacity, ops):
+    cache = InstallCache(capacity)
+    oracle = ReferenceInstallLRU(capacity)
+    for op in ops:
+        if op[0] == "lookup":
+            assert cache.lookup(op[1]) == oracle.lookup(op[1])
+        else:
+            _, package, size = op
+            size %= capacity + 1  # 0 up to the capacity
+            before = [p for p, _ in oracle.items if p != package]
+            oracle.insert(package, size)
+            held = {p for p, _ in oracle.items}
+            assert cache.insert(package, size) == [p for p in before if p not in held]
+        for package in "abcdefg":
+            assert (package in cache) == any(p == package for p, _ in oracle.items)
+        assert cache.used_bytes == sum(size for _, size in oracle.items)
+        assert len(cache) == len(oracle.items)
 
 
 # --- import cache tree --------------------------------------------------------
