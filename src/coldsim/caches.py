@@ -7,6 +7,9 @@ mapped read-only into workers; a hit skips download and install. Tier 3
 (import): a tree of sleeping processes with progressively larger pre-imported
 package sets; a new instance forks from the best-matching node.
 
+The handler and install tiers share one byte-bounded LRU, ``_ByteLRU``: its
+``_put`` holds the size checks, the refresh and the eviction loop for both.
+
 Each cache instance is a single-threaded mutable state machine.
 """
 
@@ -80,34 +83,60 @@ class LatencyBreakdown:
     total_ms: int
 
 
-class HandlerCache:
-    """Paused function instances, bounded by total footprint bytes.
+class _ByteLRU:
+    """``key -> (size, stamp)``, least recent first; a put past ``capacity_bytes`` evicts the oldest."""
 
-    Each entry holds an instance's footprint and pause time. Pause times
-    start at 0 and never decrease, and an insert puts its entry last, so
-    least-recent order is pause order: capacity evicts from the front, and
-    the instances idle past ``keep_alive_ms`` (None: never) are a prefix.
-    """
-
-    def __init__(self, capacity_bytes: int, keep_alive_ms: int | None = None):
+    def __init__(self, capacity_bytes: int):
         if capacity_bytes < 1:
             raise ValueError("capacity_bytes must be >= 1")
         self.capacity_bytes = capacity_bytes
-        self.keep_alive_ms = keep_alive_ms
-        self._entries: OrderedDict[str, tuple[int, int]] = OrderedDict()  # (footprint, paused_at_ms)
+        self._entries: OrderedDict[str, tuple[int, int]] = OrderedDict()
         self._used = 0
-        self._newest_ms = 0
-        self._oldest_ms = 0  # at most the oldest instance's pause time
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, function_id: str) -> bool:
-        return function_id in self._entries
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
 
     @property
     def used_bytes(self) -> int:
         return self._used
+
+    def _put(self, key: str, size: int, stamp: int) -> list[str]:
+        """Put ``key`` at most-recent; return the keys evicted, oldest first."""
+        if size < 0:
+            raise ValueError("entry size must be >= 0")
+        if size > self.capacity_bytes:
+            raise ValueError("entry larger than cache")
+        entries = self._entries
+        held = entries.pop(key, None)
+        used = self._used + size - (held[0] if held else 0)
+        entries[key] = (size, stamp)
+        evicted = []
+        while used > self.capacity_bytes:
+            victim, (victim_size, _) = entries.popitem(last=False)
+            used -= victim_size
+            evicted.append(victim)
+        self._used = used
+        return evicted
+
+
+class HandlerCache(_ByteLRU):
+    """Paused function instances, bounded by total footprint bytes.
+
+    Each entry holds an instance's footprint and pause time as its size and
+    stamp. Pause times start at 0 and never decrease, and an insert puts its
+    entry last, so least-recent order is pause order: capacity evicts from
+    the front, and the instances idle past ``keep_alive_ms`` (None: never)
+    are a prefix.
+    """
+
+    def __init__(self, capacity_bytes: int, keep_alive_ms: int | None = None):
+        super().__init__(capacity_bytes)
+        self.keep_alive_ms = keep_alive_ms
+        self._newest_ms = 0
+        self._oldest_ms = 0  # at most the oldest instance's pause time
 
     def entries(self) -> list[tuple[str, int]]:
         """(id, footprint) pairs in least- to most-recent order."""
@@ -135,71 +164,28 @@ class HandlerCache:
 
     def insert(self, function_id: str, footprint_bytes: int, paused_at_ms: int = 0) -> list[str]:
         """Pause or re-pause at most-recent; return ids evicted, oldest first."""
-        if footprint_bytes < 0:
-            raise ValueError("footprint_bytes must be >= 0")
-        if footprint_bytes > self.capacity_bytes:
-            raise ValueError("entry larger than cache")
         if paused_at_ms < self._newest_ms:
             raise ValueError(f"paused_at_ms {paused_at_ms} is earlier than the last, {self._newest_ms}")
+        evicted = self._put(function_id, footprint_bytes, paused_at_ms)
         self._newest_ms = paused_at_ms
-        entries = self._entries
-        held = entries.pop(function_id, None)
-        used = self._used + footprint_bytes - (held[0] if held else 0)
-        entries[function_id] = (footprint_bytes, paused_at_ms)
-        evicted = []
-        while used > self.capacity_bytes:
-            victim, (size, _) = entries.popitem(last=False)
-            used -= size
-            evicted.append(victim)
-        self._used = used
         return evicted
 
 
-class InstallCache:
+class InstallCache(_ByteLRU):
     """LRU over pre-installed packages, bounded by total size bytes."""
-
-    def __init__(self, capacity_bytes: int):
-        if capacity_bytes < 1:
-            raise ValueError("capacity_bytes must be >= 1")
-        self.capacity_bytes = capacity_bytes
-        self._packages: OrderedDict[str, int] = OrderedDict()
-        self._used = 0
-
-    def __len__(self) -> int:
-        return len(self._packages)
-
-    def __contains__(self, package_id: str) -> bool:
-        return package_id in self._packages
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
 
     def lookup(self, packages: AbstractSet[str]) -> tuple[frozenset[str], frozenset[str]]:
         """Partition ``packages`` into (present, absent); hits move to most-recent in name order."""
-        found = self._packages.keys() & packages
+        found = self._entries.keys() & packages
         if not found:
             return _NONE, frozenset(packages)
         for p in sorted(found) if len(found) > 1 else found:
-            self._packages.move_to_end(p)
+            self._entries.move_to_end(p)
         hits = frozenset(found)
         return hits, frozenset(packages) - hits
 
     def insert(self, package_id: str, size_bytes: int) -> list[str]:
-        if size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
-        if size_bytes > self.capacity_bytes:
-            raise ValueError("entry larger than cache")
-        if package_id in self._packages:
-            self._used -= self._packages.pop(package_id)
-        self._packages[package_id] = size_bytes
-        self._used += size_bytes
-        evicted = []
-        while self._used > self.capacity_bytes:
-            victim, size = self._packages.popitem(last=False)
-            self._used -= size
-            evicted.append(victim)
-        return evicted
+        return self._put(package_id, size_bytes, 0)
 
 
 @dataclass(slots=True, eq=False)

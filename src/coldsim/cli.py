@@ -34,6 +34,7 @@ from .sim import (
 from .traces import (
     DEFAULT_THRESHOLD_TARGETS,
     SyntheticTraceSpec,
+    check_target,
     function_name,
     generate_synthetic,
     load_profiles,
@@ -55,6 +56,13 @@ def parse_size(text: str) -> int:
     if not match:
         raise ValueError(f"unparseable size: {text!r}")
     return int(match.group(1)) * _SIZE_FACTORS[(match.group(2) or "B").upper()]
+
+
+def _positive_size(text: str) -> int:
+    size = parse_size(text)
+    if size < 1:
+        raise ValueError(f"size must be at least 1 byte: {text!r}")
+    return size
 
 
 def _flag_type(parse, comma_separated: bool = False):
@@ -82,11 +90,6 @@ def _write_text(path: str, content: str) -> None:
         handle.write(content)
 
 
-def _info(args, message: str) -> None:
-    if not args.quiet:
-        print(message, file=sys.stderr)
-
-
 def _finish(args, command: str, parameters: dict, inputs: list[str], outputs: list[str]) -> int:
     """Write the run manifest next to the first file output, if any."""
     if outputs:
@@ -95,8 +98,9 @@ def _finish(args, command: str, parameters: dict, inputs: list[str], outputs: li
         if getattr(args, "seed", None) is not None:  # only generate draws random numbers
             manifest["seed"] = args.seed
         _write_text(outputs[0] + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        for path in outputs:
-            _info(args, f"wrote {path}")
+        if not args.quiet:
+            for path in outputs:
+                print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -277,9 +281,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    trace = load_trace(args.trace)
     if not args.sizes:
         raise ValueError("--sizes must name at least one cache size")
+    if min(args.sizes) < args.footprint:
+        raise ValueError(f"--sizes: cache size {min(args.sizes)} smaller than footprint {args.footprint}")
+    trace = load_trace(args.trace)
     rows = sweep_cache_sizes(trace, args.sizes, args.footprint)
     lines = ["cache_bytes,hit_rate"]
     lines.extend(f"{size},{rate:.6f}" for size, rate in rows)
@@ -303,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common], help="popularity CDF and coverage thresholds")
     p.add_argument("trace", help="normalized trace CSV")
     p.add_argument("--targets", default=",".join(map(str, DEFAULT_THRESHOLD_TARGETS)),
-                   type=_flag_type(float, comma_separated=True),
+                   type=_flag_type(lambda text: check_target(float(text)), comma_separated=True),
                    help="request fractions, comma-separated (default: %(default)s)")
     p.set_defaults(func=cmd_analyze)
 
@@ -344,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common], help="global-LRU hit rate by cache size")
     p.add_argument("trace")
-    p.add_argument("--sizes", required=True, type=_flag_type(parse_size, comma_separated=True),
+    p.add_argument("--sizes", required=True, type=_flag_type(_positive_size, comma_separated=True),
                    help="comma-separated sizes, e.g. 1GiB,2GiB")
-    p.add_argument("--footprint", default="256MiB", type=_flag_type(parse_size), help="per-instance footprint")
+    p.add_argument("--footprint", default="256MiB", type=_flag_type(_positive_size), help="per-instance footprint")
     p.set_defaults(func=cmd_sweep)
     return parser
 

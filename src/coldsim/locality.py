@@ -121,14 +121,12 @@ def build_dependency_graph(profiles: Sequence[FunctionProfile]) -> DependencyGra
     for fid in sorted(deps):
         for pkg in sorted(deps[fid]):  # not set order, which follows the string hash seed
             by_package[pkg].append(fid)
-    intersections: Counter = Counter()
+    weights: Counter = Counter()  # intersection sizes, then rewritten in place to Jaccard
     for members in by_package.values():
         # members are in id order, so every pair is already a sorted key
-        intersections.update(combinations(members, 2))
-    weights = {}
-    for (a, b), inter in intersections.items():
-        union = len(deps[a]) + len(deps[b]) - inter
-        weights[(a, b)] = inter / union
+        weights.update(combinations(members, 2))
+    for (a, b), inter in weights.items():
+        weights[(a, b)] = inter / (len(deps[a]) + len(deps[b]) - inter)
     return DependencyGraph(frozenset(deps), weights)
 
 

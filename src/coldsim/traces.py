@@ -370,6 +370,13 @@ def request_counts(trace: Trace) -> Counter:
     return Counter(trace.function_ids)
 
 
+def check_target(target: float) -> float:
+    """``target`` itself when it is a request fraction in (0, 1]; a ValueError otherwise."""
+    if not 0.0 < target <= 1.0:
+        raise ValueError(f"threshold target must be in (0, 1]: {target}")
+    return target
+
+
 def popularity_cdf(trace: Trace, targets: Sequence[float] = DEFAULT_THRESHOLD_TARGETS) -> SkewSummary:
     """Rank functions by descending request count and accumulate the CDF.
 
@@ -379,8 +386,7 @@ def popularity_cdf(trace: Trace, targets: Sequence[float] = DEFAULT_THRESHOLD_TA
     if not trace.function_ids:
         raise ValueError("empty trace")
     for t in targets:
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"threshold target must be in (0, 1]: {t}")
+        check_target(t)
     counts = request_counts(trace)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     total = len(trace)

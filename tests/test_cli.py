@@ -79,7 +79,7 @@ def test_sweep_fixed_point_output(tmp_path, capsys):
 def test_sweep_footprint_above_smallest_size_exits_2(small_trace, capsys):
     rc = main(["sweep", str(small_trace), "--sizes", "1GiB", "--footprint", "2GiB"])
     assert rc == 2
-    assert "smaller than footprint" in capsys.readouterr().err
+    assert "error: --sizes: cache size 1073741824 smaller than footprint 2147483648" in capsys.readouterr().err
 
 
 def test_sweep_sorts_sizes(small_trace, capsys):
@@ -459,8 +459,14 @@ def test_only_generate_takes_a_seed(argv, capsys):
          "argument --footprint: unparseable size: '1.5MiB'"),
         (["analyze", "trace.csv", "--targets", "0.5,abc"],
          "argument --targets: could not convert string to float: 'abc'"),
+        (["analyze", "trace.csv", "--targets", "0.5,1.5"],
+         "argument --targets: threshold target must be in (0, 1]: 1.5"),
+        (["analyze", "trace.csv", "--targets", "0"], "argument --targets: threshold target must be in (0, 1]: 0.0"),
+        (["sweep", "trace.csv", "--sizes", "1GiB,0"], "argument --sizes: size must be at least 1 byte: '0'"),
+        (["sweep", "trace.csv", "--sizes", "1GiB", "--footprint", "0KiB"],
+         "argument --footprint: size must be at least 1 byte: '0KiB'"),
     ],
-    ids=["sizes", "footprint", "targets"],
+    ids=["sizes", "footprint", "targets", "targets-above-1", "targets-0", "sizes-0", "footprint-0"],
 )
 def test_unparseable_flag_value_names_the_flag(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:
