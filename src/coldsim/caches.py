@@ -20,7 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
-from typing import AbstractSet, Mapping, NamedTuple
+from typing import AbstractSet, NamedTuple
 
 from .traces import FunctionProfile
 
@@ -38,8 +38,9 @@ class Tier(str, Enum):
 class LatencyModel:
     """Per-phase initialization costs in integer milliseconds.
 
-    The defaults form the ``fig1_calibration`` preset: a single-dependency
-    full miss without an import tree costs exactly 3472 ms
+    ``LatencyModel()`` is the one default model, the Fig. 1 calibration that
+    ``presets/fig1_calibration.json`` holds in full: a single-dependency full
+    miss without an import tree costs exactly 3472 ms
     (200 + 1200 + 1500 + 400 + 172), with 2 ms unpause and 6 ms shutdown.
     """
 
@@ -60,17 +61,6 @@ class LatencyModel:
             raise ValueError("fork_ms must not exceed sandbox_create_ms")
         if self.unpause_ms > self.fork_ms:
             raise ValueError("unpause_ms must not exceed fork_ms")
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "LatencyModel":
-        unknown = set(payload) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown latency_model keys: {sorted(unknown)}")
-        return cls(**{k: int(v) for k, v in payload.items()})
-
-    @classmethod
-    def fig1_calibration(cls) -> "LatencyModel":
-        return cls()
 
 
 @dataclass(frozen=True)

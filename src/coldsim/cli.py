@@ -25,6 +25,7 @@ from .locality import (
     partition_round_robin,
 )
 from .sim import (
+    DEFAULT_FOOTPRINT_BYTES,
     RoutingPolicy,
     SimConfig,
     run,
@@ -88,6 +89,22 @@ def _digest(command: str, parameters: dict, inputs: list[str]) -> str:
 def _write_text(path: str, content: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(content)
+
+
+def _check_paths(args) -> None:
+    """Refuse, before anything is read or written, an output path that names another output or an input."""
+    def named(labels):  # "--per-request" -> args.per_request
+        return [(label, getattr(args, label.lstrip("-").replace("-", "_"))) for label in labels]
+
+    outputs = [(label, path) for label, path in named(args.writes) if path]
+    if outputs:  # _finish writes the manifest next to the first file output
+        outputs.append((f"the manifest of {outputs[0][0]}", outputs[0][1] + ".manifest.json"))
+    seen = {os.path.realpath(path): label for label, path in named(args.reads) if path}
+    for label, path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{label} and {seen[real]} name the same file: {path}")
+        seen[real] = label
 
 
 def _finish(args, command: str, parameters: dict, inputs: list[str], outputs: list[str]) -> int:
@@ -186,10 +203,6 @@ def cmd_partition(args) -> int:
     return _finish(args, "partition", parameters, [args.profiles, args.trace], outputs)
 
 
-# the partition comes from its own file
-_SIM_CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {"partition"}
-
-
 def _config_int(key: str, value) -> int:
     """``int(value)`` of a simulation config value; a value it cannot take names ``key``.
 
@@ -204,53 +217,60 @@ def _config_int(key: str, value) -> int:
     raise ValueError(f"{key} must be an integer, not {json.dumps(value)}")
 
 
+def _config_size(key: str, value) -> int:
+    if not isinstance(value, str):
+        return _config_int(key, value)
+    try:
+        return parse_size(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def _config_routing_policy(key: str, value) -> RoutingPolicy:
+    try:
+        return RoutingPolicy(value)
+    except ValueError:
+        valid = ", ".join(policy.value for policy in RoutingPolicy)
+        raise ValueError(f"{key} must be one of {valid}, not {json.dumps(value)}") from None
+
+
+def _config_latency_model(key: str, phases) -> LatencyModel:
+    if not isinstance(phases, dict):
+        raise ValueError(f"{key} must be an object of phase costs")
+    unknown = set(phases) - {f.name for f in fields(LatencyModel)}
+    if unknown:
+        raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
+    return LatencyModel(**{k: _config_int(f"{key}.{k}", v) for k, v in phases.items()})
+
+
+def _config_footprint_overrides(key: str, overrides) -> dict[str, int]:
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{key} must be an object of sizes")
+    return {f: _config_size(f"{key}[{f!r}]", v) for f, v in overrides.items()}
+
+
+# the one reader of each SimConfig field a config may set (the partition comes from its own file);
+# a key absent from the config keeps SimConfig's default
+_CONFIG_READERS = {
+    "handler_capacity_bytes": _config_size,
+    "install_capacity_bytes": _config_size,
+    "import_max_nodes": _config_int,
+    "keep_alive_ms": lambda key, value: None if value is None else _config_int(key, value),
+    "latency_model": _config_latency_model,
+    "routing_policy": _config_routing_policy,
+    "footprint_bytes": _config_size,
+    "footprint_overrides": _config_footprint_overrides,
+    "package_size_bytes": _config_size,
+}
+
+
 def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
     if not isinstance(payload, dict):
         raise ValueError("simulation config must be a JSON object")
-    unknown = set(payload) - _SIM_CONFIG_KEYS
+    unknown = set(payload) - set(_CONFIG_READERS)
     if unknown:
         raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
-
-    def size_of(key, value):
-        if not isinstance(value, str):
-            return _config_int(key, value)
-        try:
-            return parse_size(value)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-
-    if "latency_model" in payload:
-        phases = payload["latency_model"]
-        if not isinstance(phases, dict):
-            raise ValueError("latency_model must be an object of phase costs")
-        model = LatencyModel.from_dict({k: _config_int(f"latency_model.{k}", v) for k, v in phases.items()})
-    else:
-        model = LatencyModel.fig1_calibration()
-
-    kwargs = {"partition": partition, "latency_model": model}
-    for key in ("handler_capacity_bytes", "install_capacity_bytes", "footprint_bytes", "package_size_bytes"):
-        if key in payload:
-            kwargs[key] = size_of(key, payload[key])
-    if "import_max_nodes" in payload:
-        kwargs["import_max_nodes"] = _config_int("import_max_nodes", payload["import_max_nodes"])
-    if "keep_alive_ms" in payload:
-        value = payload["keep_alive_ms"]
-        kwargs["keep_alive_ms"] = None if value is None else _config_int("keep_alive_ms", value)
-    if "routing_policy" in payload:
-        value = payload["routing_policy"]
-        try:
-            kwargs["routing_policy"] = RoutingPolicy(value)
-        except ValueError:
-            valid = ", ".join(policy.value for policy in RoutingPolicy)
-            raise ValueError(f"routing_policy must be one of {valid}, not {json.dumps(value)}") from None
-    if "footprint_overrides" in payload:
-        overrides = payload["footprint_overrides"]
-        if not isinstance(overrides, dict):
-            raise ValueError("footprint_overrides must be an object of sizes")
-        kwargs["footprint_overrides"] = {
-            str(f): size_of(f"footprint_overrides[{f!r}]", v) for f, v in overrides.items()
-        }
-    return SimConfig(**kwargs)
+    return SimConfig(partition, **{key: _CONFIG_READERS[key](key, value) for key, value in payload.items()})
 
 
 def cmd_simulate(args) -> int:
@@ -311,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", default=",".join(map(str, DEFAULT_THRESHOLD_TARGETS)),
                    type=_flag_type(lambda text: check_target(float(text)), comma_separated=True),
                    help="request fractions, comma-separated (default: %(default)s)")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, reads=("trace",), writes=("--out",))
 
     p = sub.add_parser("generate", parents=[common], help="synthetic trace and profile catalog")
     p.add_argument("--functions", type=int, required=True)
@@ -325,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--package-zipf", type=float, default=1.0)
     p.add_argument("--runtime", default="python")
     p.add_argument("--seed", type=int, default=0, help="seed for the trace and the catalog")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, reads=(), writes=("--out", "--profiles-out"))
 
     p = sub.add_parser("partition", parents=[common], help="build locality groups")
     p.add_argument("profiles", help="profile catalog CSV")
@@ -338,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="weight popularity by execution duration",
     )
-    p.set_defaults(func=cmd_partition)
+    p.set_defaults(func=cmd_partition, reads=("profiles", "trace"), writes=("--out",))
 
     p = sub.add_parser("simulate", parents=[common], help="run the worker-level simulation")
     p.add_argument("trace")
@@ -346,20 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition", help="partition JSON (see the partition command)")
     p.add_argument("--config", help="simulation config JSON")
     p.add_argument("--per-request", help="also write the per-request breakdown CSV here")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, reads=("trace", "profiles", "partition", "--config"),
+                   writes=("--out", "--per-request"))
 
     p = sub.add_parser("sweep", parents=[common], help="global-LRU hit rate by cache size")
     p.add_argument("trace")
     p.add_argument("--sizes", required=True, type=_flag_type(_positive_size, comma_separated=True),
                    help="comma-separated sizes, e.g. 1GiB,2GiB")
-    p.add_argument("--footprint", default="256MiB", type=_flag_type(_positive_size), help="per-instance footprint")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--footprint", default=DEFAULT_FOOTPRINT_BYTES, type=_flag_type(_positive_size),
+                   help="per-instance footprint")
+    p.set_defaults(func=cmd_sweep, reads=("trace",), writes=("--out",))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

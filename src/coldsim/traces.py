@@ -321,7 +321,18 @@ def load_trace(path) -> Trace:
         return parse_trace(handle)
 
 
+_ROW_SEPARATORS = ",\n\r"  # a reader splits a row at each; it drops a trailing "\r"
+
+
+def _check_identifier(name: str, forbidden: str) -> None:
+    """Refuse a name that its CSV reader would split or alter: ``forbidden`` holds its separators."""
+    if any(char in name for char in forbidden):
+        raise ValueError(f"identifier not representable in CSV: {name!r}")
+
+
 def write_trace(trace: Trace, stream: IO[str]) -> None:
+    for function_id in sorted(set(trace.function_ids)):  # each distinct id once, in a fixed order
+        _check_identifier(function_id, _ROW_SEPARATORS)
     stream.write(TRACE_HEADER + "\n")
     for ts, function_id in zip(trace.timestamps_ms, trace.function_ids):
         stream.write(f"{ts},{function_id}\n")
@@ -509,8 +520,7 @@ def write_profiles(profiles: Sequence[FunctionProfile], stream: IO[str]) -> None
     stream.write(PROFILE_HEADER + "\n")
     for p in profiles:
         for name in (p.function_id, p.runtime, *p.dependencies):
-            if "," in name or ";" in name:
-                raise ValueError(f"identifier not representable in CSV: {name!r}")
+            _check_identifier(name, _ROW_SEPARATORS + ";")  # ";" separates dependencies
         deps = ";".join(sorted(p.dependencies))
         stream.write(f"{p.function_id},{p.runtime},{p.code_size_kb},{p.exec_duration_ms},{deps}\n")
 

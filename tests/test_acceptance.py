@@ -141,7 +141,7 @@ def test_criterion_03_sweep_monotonicity_and_saturation(big_trace):
 
 
 def test_criterion_04_fig1_calibration(tmp_path):
-    model = LatencyModel.fig1_calibration()
+    model = LatencyModel()
     probe = CacheLookupResult(Tier.MISS, cold=frozenset({"numpy"}))
     profile = FunctionProfile("fn", "python", frozenset({"numpy"}), 100, 63)
     breakdown = init_latency(probe, model)
@@ -205,7 +205,7 @@ def test_criterion_05_three_tier_monotonicity():
     pool = [f"p{i}" for i in range(10)]
     trials = 0
     for _ in range(1000):
-        model = LatencyModel.fig1_calibration() if rnd.random() < 0.5 else random_latency_model(rnd)
+        model = LatencyModel() if rnd.random() < 0.5 else random_latency_model(rnd)
         deps = frozenset(rnd.sample(pool, rnd.randint(1, 6)))
         profile = FunctionProfile("fn", "python", deps, 100, 63)
 

@@ -27,7 +27,7 @@ from reference import (
 )
 
 MB = 1024 * 1024
-FIG1 = LatencyModel.fig1_calibration()
+FIG1 = LatencyModel()
 
 
 def profile(fid="fn", deps=()):
@@ -488,7 +488,7 @@ def test_preinstalled_packages_skip_download_and_install():
 
 def test_shipped_preset_file_matches_builtin():
     with open(REPO_ROOT / "presets" / "fig1_calibration.json", encoding="utf-8") as handle:
-        loaded = LatencyModel.from_dict(json.load(handle))
+        loaded = LatencyModel(**json.load(handle))
     assert loaded == FIG1
 
 

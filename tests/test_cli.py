@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from coldsim.cli import _build_sim_config, main, parse_size
+from coldsim.cli import _CONFIG_READERS, _build_sim_config, main, parse_size
 from coldsim.locality import LocalityGroup, Partition
+from coldsim.sim import SimConfig
 
 from conftest import REPO_ROOT
 
@@ -312,6 +314,37 @@ def test_simulate_honors_config_file(simulate_inputs, tmp_path, capsys):
     assert payload["tier_counts"]["HandlerHit"] == 0
 
 
+def test_every_config_key_is_read_and_changes_the_result(tmp_path):
+    assert main(generate_args(tmp_path)) == 0
+    trace, profiles, partition = (str(tmp_path / name) for name in ("trace.csv", "profiles.csv", "partition.json"))
+    assert main(["partition", profiles, trace, "--groups-per-runtime", "1", "--workers", "3",
+                 "--strategy", "round_robin", "--quiet", "--out", partition]) == 0
+    config, out = tmp_path / "config.json", tmp_path / "result.json"
+
+    def result_of(payload):
+        config.write_text(json.dumps(payload))
+        assert main(["simulate", trace, profiles, partition, "--config", str(config), "--quiet",
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    varied = {
+        "handler_capacity_bytes": "256MiB",
+        "install_capacity_bytes": "10MiB",
+        "import_max_nodes": 0,
+        "keep_alive_ms": 0,
+        "latency_model": {"code_load_ms": 100},
+        "routing_policy": "LeastLoaded",
+        "footprint_bytes": "512MiB",
+        "footprint_overrides": {"f0000": "1GiB"},
+        "package_size_bytes": "8GiB",
+    }
+    # a SimConfig field without a reader, or a reader whose value goes unused, fails here
+    assert set(varied) == set(_CONFIG_READERS) == {f.name for f in fields(SimConfig)} - {"partition"}
+    baseline = result_of({})
+    for key, value in varied.items():
+        assert result_of({key: value}) != baseline, key
+
+
 def test_simulate_rejects_unknown_config_keys(simulate_inputs, tmp_path, capsys):
     trace, profiles, partition = simulate_inputs
     config = tmp_path / "config.json"
@@ -416,6 +449,47 @@ def test_simulate_config_reads_integral_floats_as_integers():
     assert (config.keep_alive_ms, config.handler_capacity_bytes) == (60_000, 1_000_000_000)
     assert type(config.keep_alive_ms) is int and type(config.handler_capacity_bytes) is int
     assert type(config.latency_model.fork_ms) is int
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--functions", "5", "--requests", "9", "--out", "x.csv", "--profiles-out", "x.csv"],
+         "--profiles-out and --out name the same file: x.csv"),
+        (["generate", "--functions", "5", "--requests", "9", "--out", "x.csv",
+          "--profiles-out", "x.csv.manifest.json"],
+         "the manifest of --out and --profiles-out name the same file: x.csv.manifest.json"),
+        (["simulate", "trace.csv", "profiles.csv", "partition.json", "--out", "r.json", "--per-request", "r.json"],
+         "--per-request and --out name the same file: r.json"),
+        (["simulate", "trace.csv", "profiles.csv", "partition.json", "--per-request", "./trace.csv"],
+         "--per-request and trace name the same file: ./trace.csv"),
+        (["simulate", "trace.csv", "profiles.csv", "partition.json", "--out", "r.json",
+          "--per-request", "r.json.manifest.json"],
+         "the manifest of --out and --per-request name the same file: r.json.manifest.json"),
+        (["simulate", "trace.csv", "profiles.csv", "partition.json", "--config", "config.json",
+          "--out", "config.json"],
+         "--out and --config name the same file: config.json"),
+        (["simulate", "trace.csv", "profiles.csv", "partition.json", "--out", "partition.json"],
+         "--out and partition name the same file: partition.json"),
+        (["partition", "profiles.csv", "trace.csv", "--groups-per-runtime", "1", "--workers", "1",
+          "--out", "profiles.csv"],
+         "--out and profiles name the same file: profiles.csv"),
+        (["analyze", "trace.csv", "--out", "trace.csv"], "--out and trace name the same file: trace.csv"),
+        (["sweep", "trace.csv", "--sizes", "1GiB", "--out", "link.csv"],
+         "--out and trace name the same file: link.csv"),
+    ],
+    ids=["generate-outputs", "generate-manifest", "simulate-outputs", "simulate-trace", "simulate-manifest",
+         "simulate-config", "simulate-partition", "partition-profiles", "analyze-trace", "sweep-symlink"],
+)
+def test_an_output_naming_another_output_or_an_input_exits_2(simulate_inputs, tmp_path, monkeypatch, capsys,
+                                                             argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text("{}")
+    (tmp_path / "link.csv").symlink_to("trace.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_manifest_written_alongside_out(small_trace, tmp_path):

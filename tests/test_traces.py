@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import io
 import random
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -87,6 +89,51 @@ def test_write_then_parse_is_identity(pairs):
     write_trace(trace, buffer)
     reparsed = parse_trace(io.StringIO(buffer.getvalue()))
     assert reparsed == trace
+
+
+@pytest.mark.parametrize("function_id", ["a,b", "a\nb", "a\r", "\ra"])
+def test_write_trace_refuses_an_id_its_reader_would_split_or_alter(function_id):
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(repr(function_id))):
+        write_trace(trace_of("ok", function_id, function_id), buffer)
+    assert buffer.getvalue() == ""
+
+
+@pytest.mark.parametrize("char", [",", ";", "\n", "\r"], ids=["comma", "semicolon", "lf", "cr"])
+@pytest.mark.parametrize("field", ["function_id", "runtime", "dependencies"])
+def test_write_profiles_refuses_a_name_its_reader_would_split_or_alter(field, char):
+    name = f"a{char}b"
+    value = frozenset({"numpy", name}) if field == "dependencies" else name
+    profile = dataclasses.replace(FunctionProfile("f", "python", frozenset({"numpy"})), **{field: value})
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        write_profiles([profile], io.StringIO())
+
+
+def read_as_a_file(text: str) -> io.TextIOWrapper:
+    """``text`` as ``open(path, "r")`` reads it back: newlines translated, ``"\r"`` included."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
+TRACE_IDS = st.text(st.characters(codec="utf-8", exclude_characters=",\n\r"), min_size=1, max_size=6)
+PROFILE_NAMES = st.text(st.characters(codec="utf-8", exclude_characters=",;\n\r"), min_size=1, max_size=6)
+
+
+@given(
+    st.lists(TRACE_IDS, min_size=1, max_size=20),
+    st.frozensets(PROFILE_NAMES, min_size=1, max_size=4),
+    PROFILE_NAMES,
+    st.frozensets(PROFILE_NAMES, max_size=3),
+)
+@example(["a;b", " a ", "a\x00", "\x85", "\u2028"], frozenset({" f "}), "py\t", frozenset({"\x0b"}))
+def test_every_name_the_writers_accept_reads_back_unchanged(ids, function_ids, runtime, deps):
+    trace = trace_of(*ids)
+    buffer = io.StringIO()
+    write_trace(trace, buffer)
+    assert parse_trace(read_as_a_file(buffer.getvalue())) == trace
+    profiles = [FunctionProfile(f, runtime, deps, 1, 2) for f in sorted(function_ids)]
+    buffer = io.StringIO()
+    write_profiles(profiles, buffer)
+    assert parse_profiles(read_as_a_file(buffer.getvalue())) == profiles
 
 
 def test_parse_keeps_no_per_row_objects():
