@@ -51,11 +51,11 @@ def main():
 
     spec = SyntheticTraceSpec(args.functions, args.requests, args.zipf, 3_600_000, args.seed)
     trace = generate_synthetic(spec)
-    profiles = synthesize_profiles(trace.function_ids, catalog_size=80,
+    profiles = synthesize_profiles(trace.names, catalog_size=80,
                                    deps_per_function=(1, 6), package_zipf_exponent=1.0,
                                    seed=args.seed)
     graph = build_dependency_graph(profiles)
-    popularity = dict(request_counts(trace))
+    popularity = request_counts(trace)
 
     robin = partition_round_robin(profiles, args.groups, args.workers, popularity)
     clustered = partition_clustered(graph, profiles, args.groups, args.workers, popularity)

@@ -177,12 +177,10 @@ def cmd_generate(args) -> int:
 def cmd_partition(args) -> int:
     profiles = load_profiles(args.profiles)
     trace = load_trace(args.trace)
-    counts = request_counts(trace)
+    popularity = request_counts(trace)
     if args.weight_by_duration:
         durations = {p.function_id: p.exec_duration_ms for p in profiles}
-        popularity = {f: c * max(1, durations.get(f, 1)) for f, c in counts.items()}
-    else:
-        popularity = dict(counts)
+        popularity = {f: c * max(1, durations.get(f, 1)) for f, c in popularity.items()}
     if args.strategy == "round_robin":
         partition = partition_round_robin(
             profiles, args.groups_per_runtime, args.workers, popularity

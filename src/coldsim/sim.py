@@ -274,7 +274,7 @@ def run(
     """Simulate the full trace, passing each outcome to ``sink``; see the module docstring."""
     catalog = index_profiles(profiles)
     group_of = config.partition.function_to_group()
-    function_ids = sorted(set(trace.function_ids))
+    function_ids = sorted(trace.names)
     for fid in function_ids:
         if fid not in catalog:
             raise ValueError(f"no profile for function {fid!r}")
@@ -301,7 +301,7 @@ def run(
     # a breakdown depends only on these probe features, whose first is the tier, so
     # equal ones share [breakdown, requests]
     shared: dict[tuple, list] = {}
-    for now, fid in zip(trace.timestamps_ms, trace.function_ids):
+    for now, fid in trace.rows():
         profile, candidates, footprint = per_function[fid]
         worker = _select_worker(candidates, fid, now, policy, last_worker)
         start = worker.busy_until_ms
@@ -350,21 +350,23 @@ def run(
     return _summarize((key[0], b.total_ms, count) for key, (b, count) in shared.items())
 
 
-def _stack_distance_counts(function_ids: Sequence[str], depth: int) -> list[int]:
+def _stack_distance_counts(codes: Iterable[int], distinct: int, depth: int) -> list[int]:
     """Re-references counted by LRU stack distance, for distances below ``depth``.
 
+    ``codes`` are the accessed ids as codes in ``range(distinct)``.
     ``counts[d]`` is the number of accesses whose id was last used ``d``
-    distinct ids ago. ``times`` holds, ascending, the last-use positions of
-    the ``depth`` most recently used ids; every other id's last use is
+    distinct ids ago. ``last[code]`` is the position of the id's last use,
+    -1 before its first. ``times`` holds, ascending, the last-use positions
+    of the ``depth`` most recently used ids; every other id's last use is
     older than ``times[0]``. ``counts`` grows with ``times``, so memory is
     bounded by the distinct ids, not by ``depth``.
     """
-    last: dict[str, int] = {}
+    last = [-1] * distinct
     times: list[int] = []
     counts: list[int] = []
-    for now, fid in enumerate(function_ids):
-        prev = last.get(fid)
-        if prev is not None and prev >= times[0]:
+    for now, code in enumerate(codes):
+        prev = last[code]
+        if prev >= 0 and prev >= times[0]:
             k = bisect_left(times, prev)
             counts[len(times) - 1 - k] += 1
             del times[k]
@@ -373,7 +375,7 @@ def _stack_distance_counts(function_ids: Sequence[str], depth: int) -> list[int]
         else:
             counts.append(0)
         times.append(now)
-        last[fid] = now
+        last[code] = now
     return counts
 
 
@@ -401,9 +403,9 @@ def sweep_cache_sizes(
             raise ValueError(f"cache size {size} smaller than footprint {footprint_bytes}")
     if not sizes_bytes:
         return []
-    if not trace.function_ids:
+    if not len(trace):
         raise ValueError("empty trace")
-    counts = _stack_distance_counts(trace.function_ids, max(sizes_bytes) // footprint_bytes)
+    counts = _stack_distance_counts(trace.code_rows(), len(trace.names), max(sizes_bytes) // footprint_bytes)
     hits = list(accumulate(counts, initial=0))  # hits[c]: hits of a c-entry LRU, c <= len(counts)
     n = len(trace)
     return [(size, hits[min(size // footprint_bytes, len(counts))] / n) for size in sorted(sizes_bytes)]

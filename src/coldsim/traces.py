@@ -3,10 +3,11 @@ popularity-skew analysis.
 
 The ingestion boundary is a normalized CSV (``timestamp_ms,function_id``);
 converting platform-native trace archives into this format is left to
-external tooling. A ``Trace`` holds that CSV's two columns as two
-equal-length tuples, so it keeps no object per row and one string per
-distinct function id. All operations here are pure and a ``Trace`` is
-immutable after construction.
+external tooling. A ``Trace`` holds that CSV's rows as numpy columns: an
+int64 timestamp array, an int32 array of id codes, and one string per
+distinct function id that the codes index. It keeps no object per row;
+consumers count codes, or walk the rows a bounded chunk at a time. All
+operations here are pure and a ``Trace`` is immutable after construction.
 
 ``parse_trace`` reads the CSV in blocks of text. A block of canonical rows
 (plain digits, one comma, an id) is parsed by numpy passes over its bytes,
@@ -19,11 +20,10 @@ from __future__ import annotations
 import io
 import json
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
-from itertools import repeat
-from typing import IO, Iterable, Sequence
+from itertools import chain, repeat, starmap
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ PROFILE_HEADER = "function_id,runtime,code_size_kb,exec_duration_ms,dependencies
 DEFAULT_THRESHOLD_TARGETS = (0.5, 0.8)
 
 BLOCK = 1 << 19  # characters of trace text parsed per block
+ROW_CHUNK = 1 << 12  # rows converted to Python objects at a time when a trace is walked
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # keep n low bytes
 _ZEROS = np.uint64(0x3030303030303030)  # eight ASCII '0'
 _SIXES = np.uint64(0x0606060606060606)
@@ -45,42 +46,91 @@ class TraceParseError(ValueError):
     """Malformed normalized trace or profile CSV."""
 
 
-@dataclass(frozen=True)
 class Trace:
-    """Invocation events in time order, as two equal-length columns.
+    """Invocation events in time order, held as columns.
 
-    Row ``i`` is a request for ``function_ids[i]`` at ``timestamps_ms[i]``.
-    Timestamps are non-negative and non-decreasing and ids are non-empty.
-    The trace keeps no record of its source.
+    Row ``i`` is a request for ``names[codes[i]]`` at ``stamps[i]``.
+    ``stamps`` is an int64 array (an object array of Python ints when a
+    value does not fit), ``codes`` an int32 array, and ``names`` holds one
+    string per distinct id, each of which occurs. Timestamps are
+    non-negative and non-decreasing and ids are non-empty. Two traces are
+    equal when their rows are, whatever the order of their names. The trace
+    keeps no record of its source and no object per row.
     """
 
-    timestamps_ms: tuple[int, ...]
-    function_ids: tuple[str, ...]
+    __slots__ = ("stamps", "codes", "names")
 
-    def __post_init__(self) -> None:
-        stamps = tuple(self.timestamps_ms)
-        ids = tuple(self.function_ids)
-        object.__setattr__(self, "timestamps_ms", stamps)
-        object.__setattr__(self, "function_ids", ids)
+    def __init__(self, timestamps_ms: Iterable[int], function_ids: Iterable[str]) -> None:
+        stamps = _int_column(list(map(operator.index, timestamps_ms)))
+        ids = list(function_ids)
         if len(stamps) != len(ids):
             raise ValueError("timestamps_ms and function_ids must have equal lengths")
-        if min(stamps, default=0) < 0:
+        if len(stamps) and stamps.min() < 0:
             raise ValueError("timestamp_ms must be >= 0")
-        if not all(map(operator.le, stamps, stamps[1:])):
+        if (stamps[1:] < stamps[:-1]).any():
             raise ValueError("trace rows must be sorted by timestamp_ms")
         if not all(ids):
             raise ValueError("function_id must be non-empty")
-
-    def __len__(self) -> int:
-        return len(self.timestamps_ms)
+        codes: dict[str, int] = {}
+        rows = np.array([codes.setdefault(f, len(codes)) for f in ids], dtype=np.int32)
+        self._set(stamps, rows, tuple(codes))
 
     @classmethod
-    def _from_valid_columns(cls, timestamps_ms: tuple[int, ...], function_ids: tuple[str, ...]) -> "Trace":
-        """A trace from two tuples already known to pass ``__post_init__``'s checks, unchecked."""
+    def _from_valid_columns(cls, stamps: np.ndarray, codes: np.ndarray, names: tuple[str, ...]) -> "Trace":
+        """A trace from columns already known to pass ``__init__``'s checks, unchecked."""
         trace = object.__new__(cls)
-        object.__setattr__(trace, "timestamps_ms", timestamps_ms)
-        object.__setattr__(trace, "function_ids", function_ids)
+        trace._set(stamps, codes, names)
         return trace
+
+    def _set(self, stamps: np.ndarray, codes: np.ndarray, names: tuple[str, ...]) -> None:
+        stamps.flags.writeable = codes.flags.writeable = False
+        for attr, value in (("stamps", stamps), ("codes", codes), ("names", names)):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Trace is immutable")
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        if len(self) != len(other) or not np.array_equal(self.stamps, other.stamps):
+            return False
+        code_in_other = {name: code for code, name in enumerate(other.names)}
+        recode = np.array([code_in_other.get(name, -1) for name in self.names], dtype=np.int32)
+        return bool(np.array_equal(recode[self.codes], other.codes))
+
+    def __repr__(self) -> str:
+        return f"Trace(<{len(self)} rows of {len(self.names)} functions>)"
+
+    def chunks(self) -> Iterator[tuple[list[int], list[str]]]:
+        """The rows in order, as (timestamps, ids) lists of at most ``ROW_CHUNK`` rows each."""
+        names = np.array(self.names, dtype=object)
+        for start in range(0, len(self), ROW_CHUNK):
+            stop = start + ROW_CHUNK
+            yield self.stamps[start:stop].tolist(), names[self.codes[start:stop]].tolist()
+
+    def rows(self) -> Iterator[tuple[int, str]]:
+        """(timestamp_ms, function_id) of each row in order, converted a chunk at a time."""
+        return chain.from_iterable(starmap(zip, self.chunks()))
+
+    def code_rows(self) -> Iterator[int]:
+        """The id code of each row in order, converted a chunk at a time."""
+        return chain.from_iterable(
+            self.codes[start:start + ROW_CHUNK].tolist() for start in range(0, len(self), ROW_CHUNK)
+        )
+
+    @property
+    def timestamps_ms(self) -> tuple[int, ...]:
+        """The timestamp column as a tuple, built on each access."""
+        return tuple(self.stamps.tolist())
+
+    @property
+    def function_ids(self) -> tuple[str, ...]:
+        """The id column as a tuple of the shared name strings, built on each access."""
+        return tuple(np.array(self.names, dtype=object)[self.codes].tolist())
 
 
 @dataclass(frozen=True)
@@ -193,11 +243,9 @@ def parse_trace(stream: IO[str]) -> Trace:
         order = np.argsort(stamps, kind="stable")  # stable: ties keep file order
         stamps, rows = stamps[order], rows[order]
         del order
-    timestamps = tuple(stamps.tolist())
-    del stamps
-    names = np.array(list(codes), dtype=object)
-    # every row was checked as it was parsed, and the rows are now sorted
-    return Trace._from_valid_columns(timestamps, tuple(names[rows].tolist()))
+    # every row was checked as it was parsed, the rows are now sorted, and
+    # ``codes`` holds exactly the ids they name
+    return Trace._from_valid_columns(stamps, rows, tuple(codes))
 
 
 def _parse_rows(lines: Iterable[str], lineno: int, codes: dict[str, int]) -> tuple[list[int], list[int]]:
@@ -330,17 +378,22 @@ def _check_identifier(name: str, forbidden: str) -> None:
         raise ValueError(f"identifier not representable in CSV: {name!r}")
 
 
-def write_trace(trace: Trace, stream: IO[str]) -> None:
-    for function_id in sorted(set(trace.function_ids)):  # each distinct id once, in a fixed order
+def _trace_text(trace: Trace) -> Iterator[str]:
+    """Check every id, then return the trace's CSV text as pieces of at most ``ROW_CHUNK`` rows."""
+    for function_id in sorted(trace.names):  # each distinct id once, in a fixed order
         _check_identifier(function_id, _ROW_SEPARATORS)
-    stream.write(TRACE_HEADER + "\n")
-    for ts, function_id in zip(trace.timestamps_ms, trace.function_ids):
-        stream.write(f"{ts},{function_id}\n")
+    rows = ("".join([f"{ts},{fid}\n" for ts, fid in zip(stamps, ids)]) for stamps, ids in trace.chunks())
+    return chain([TRACE_HEADER + "\n"], rows)
+
+
+def write_trace(trace: Trace, stream: IO[str]) -> None:
+    stream.writelines(_trace_text(trace))
 
 
 def save_trace(trace: Trace, path) -> None:
+    text = _trace_text(trace)  # a refused id raises here, before the file is opened
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        write_trace(trace, handle)
+        handle.writelines(text)
 
 
 def zipf_mass(n: int, exponent: float) -> np.ndarray:
@@ -371,14 +424,17 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> Trace:
     cdf[-1] = 1.0  # guard against cumulative rounding below 1
     ranks = np.searchsorted(cdf, rng.random(spec.num_requests), side="right")
     stamps = np.sort(rng.integers(0, spec.duration_ms, size=spec.num_requests))
-    names = [function_name(r, spec.num_functions) for r in range(spec.num_functions)]
+    drawn = np.flatnonzero(np.bincount(ranks, minlength=spec.num_functions))
+    code_of_rank = np.zeros(spec.num_functions, dtype=np.int32)
+    code_of_rank[drawn] = np.arange(len(drawn), dtype=np.int32)  # ranks never drawn get no name
+    names = tuple(function_name(r, spec.num_functions) for r in drawn.tolist())
     # sorted stamps in [0, duration_ms) and non-empty names are valid by construction
-    return Trace._from_valid_columns(tuple(stamps.tolist()), tuple(map(names.__getitem__, ranks.tolist())))
+    return Trace._from_valid_columns(stamps, code_of_rank[ranks], names)
 
 
-def request_counts(trace: Trace) -> Counter:
-    """Requests per function_id."""
-    return Counter(trace.function_ids)
+def request_counts(trace: Trace) -> dict[str, int]:
+    """Requests per function_id, for each id in the trace."""
+    return dict(zip(trace.names, np.bincount(trace.codes, minlength=len(trace.names)).tolist()))
 
 
 def check_target(target: float) -> float:
@@ -394,7 +450,7 @@ def popularity_cdf(trace: Trace, targets: Sequence[float] = DEFAULT_THRESHOLD_TA
     Ties in request count are broken by function_id ascending. Threshold
     comparisons are exact (no float accumulation error at the boundary).
     """
-    if not trace.function_ids:
+    if not len(trace):
         raise ValueError("empty trace")
     for t in targets:
         check_target(t)
@@ -516,15 +572,22 @@ def load_profiles(path) -> list[FunctionProfile]:
         return parse_profiles(handle)
 
 
-def write_profiles(profiles: Sequence[FunctionProfile], stream: IO[str]) -> None:
-    stream.write(PROFILE_HEADER + "\n")
+def _profile_lines(profiles: Sequence[FunctionProfile]) -> list[str]:
+    """The catalog's CSV lines; a name its reader would split or alter raises ValueError."""
+    lines = [PROFILE_HEADER + "\n"]
     for p in profiles:
         for name in (p.function_id, p.runtime, *p.dependencies):
             _check_identifier(name, _ROW_SEPARATORS + ";")  # ";" separates dependencies
         deps = ";".join(sorted(p.dependencies))
-        stream.write(f"{p.function_id},{p.runtime},{p.code_size_kb},{p.exec_duration_ms},{deps}\n")
+        lines.append(f"{p.function_id},{p.runtime},{p.code_size_kb},{p.exec_duration_ms},{deps}\n")
+    return lines
+
+
+def write_profiles(profiles: Sequence[FunctionProfile], stream: IO[str]) -> None:
+    stream.writelines(_profile_lines(profiles))
 
 
 def save_profiles(profiles: Sequence[FunctionProfile], path) -> None:
+    lines = _profile_lines(profiles)  # a refused name raises here, before the file is opened
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        write_profiles(profiles, handle)
+        handle.writelines(lines)

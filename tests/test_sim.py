@@ -586,7 +586,7 @@ def test_sweep_of_empty_trace_errors():
 def test_sweep_checks_sizes_before_reading_the_trace():
     class UnreadableTrace:
         @property
-        def function_ids(self):
+        def codes(self):
             raise AssertionError("the trace was read")
 
         def __len__(self):

@@ -104,20 +104,28 @@ def test_traced_sweep_makes_one_pass(tracer_module, tmp_path):
     assert tracer.span_count("sim.lru_replay") == 0
 
 
-def test_traced_load_counts_every_row(tracer_module, tmp_path):
-    trace = tmp_path / "trace.csv"
+@pytest.mark.parametrize("command", ["analyze", "partition", "sweep"])
+def test_traced_load_counts_every_row(tracer_module, tmp_path, command):
+    trace, profiles, out = tmp_path / "trace.csv", tmp_path / "profiles.csv", str(tmp_path / "out")
     assert cli.main([
         "generate", "--quiet", "--functions", "40", "--requests", "2000",
         "--duration", "600000", "--seed", "3",
-        "--out", str(trace), "--profiles-out", str(tmp_path / "profiles.csv"),
+        "--out", str(trace), "--profiles-out", str(profiles),
     ]) == 0
     rows = len(trace.read_text().splitlines()) - 1  # minus the header
+    argv = {
+        "analyze": ["analyze", str(trace)],
+        "partition": ["partition", str(profiles), str(trace), "--strategy", "round_robin",
+                      "--groups-per-runtime", "2", "--workers", "4"],
+        "sweep": ["sweep", str(trace), "--sizes", "256MiB,1GiB"],
+    }[command]
     tracer = tracer_module.Tracer()
     tracer_module.install(tracer)
     try:
-        assert cli.main(["analyze", str(trace), "--quiet", "--out", str(tmp_path / "skew.json")]) == 0
+        assert cli.main([*argv, "--quiet", "--out", out]) == 0
     finally:
         tracer.uninstall()
     # the tracer counts rows by len() of what load_trace returns
     assert rows == 2000
+    assert tracer.span_count("traces.load_trace") == 1
     assert tracer.counts["traces.rows_parsed"] == rows

@@ -99,6 +99,19 @@ def test_write_trace_refuses_an_id_its_reader_would_split_or_alter(function_id):
     assert buffer.getvalue() == ""
 
 
+def test_a_refused_save_keeps_the_old_file(tmp_path):
+    trace_path, profiles_path = tmp_path / "trace.csv", tmp_path / "profiles.csv"
+    traces.save_trace(trace_of("a", "b"), trace_path)
+    traces.save_profiles([FunctionProfile("a"), FunctionProfile("b")], profiles_path)
+    old_trace, old_profiles = trace_path.read_bytes(), profiles_path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(repr("b,c"))):
+        traces.save_trace(trace_of("a", "b,c"), trace_path)
+    with pytest.raises(ValueError, match=re.escape(repr("b\nc"))):
+        traces.save_profiles([FunctionProfile("a"), FunctionProfile("b\nc")], profiles_path)
+    assert trace_path.read_bytes() == old_trace
+    assert profiles_path.read_bytes() == old_profiles
+
+
 @pytest.mark.parametrize("char", [",", ";", "\n", "\r"], ids=["comma", "semicolon", "lf", "cr"])
 @pytest.mark.parametrize("field", ["function_id", "runtime", "dependencies"])
 def test_write_profiles_refuses_a_name_its_reader_would_split_or_alter(field, char):
@@ -136,6 +149,28 @@ def test_every_name_the_writers_accept_reads_back_unchanged(ids, function_ids, r
     assert parse_profiles(read_as_a_file(buffer.getvalue())) == profiles
 
 
+@given(
+    st.lists(TRACE_IDS, min_size=1, max_size=30),
+    st.integers(1, 300),
+    st.integers(1, 60),
+    st.integers(0, 2**16),
+)
+@example(["ab", "ab", "cd"], 200, 3, 0)  # far more functions than requests
+def test_request_counts_match_a_counter_over_the_ids(ids, functions, requests, seed):
+    copies = [(fid + "!")[:-1] for fid in ids]  # equal strings, as distinct objects
+    built = trace_of(*ids, *copies)
+    buffer = io.StringIO()
+    write_trace(built, buffer)
+    parsed = parse_trace(read_as_a_file(buffer.getvalue()))
+    generated = generate_synthetic(SyntheticTraceSpec(functions, requests, 1.1, 1_000, seed))
+    for trace in (built, parsed, generated):
+        counts = request_counts(trace)
+        assert counts == Counter(trace.function_ids)
+        assert 0 not in counts.values()
+        # no id that no request names
+        assert sorted(trace.names) == sorted(set(trace.function_ids))
+
+
 def test_parse_keeps_no_per_row_objects():
     rnd = random.Random(6)
     rows = [f"{1000 * i},fn{rnd.randrange(40)}" for i in range(50_000)]
@@ -148,8 +183,8 @@ def test_parse_keeps_no_per_row_objects():
     finally:
         tracemalloc.stop()
     assert len(trace) == 50_000
-    # two tuple slots and one timestamp int per row; a per-row object costs far more
-    assert retained / len(trace) < 64, f"{retained / len(trace):.1f} bytes per row"
+    # an int64 timestamp and an int32 id code per row; a per-row object costs far more
+    assert retained / len(trace) < 16, f"{retained / len(trace):.1f} bytes per row"
     # each distinct function id is one shared string object
     assert len({id(f) for f in trace.function_ids}) == len(set(trace.function_ids)) == 40
 
@@ -272,15 +307,15 @@ def test_parse_peak_memory_is_bounded_per_row():
     finally:
         tracemalloc.stop()
     assert trace == reference_parse_trace(io.StringIO(text))
-    # the Trace itself holds about 50 bytes per row; the text is 74 characters
-    # per row, so holding all of it, or any whole-file array, would exceed this
+    # the Trace itself holds 12 bytes per row; the text is 74 characters
+    # per row, so holding all of it, or a whole-file array of its bytes, would exceed this
     assert peak / len(trace) < 100, f"{peak / len(trace):.1f} peak bytes per row"
 
 
 def test_parse_and_generate_build_traces_without_rechecking_rows():
     text = f"{TRACE_HEADER}\n7,b\n3,a\n7,a\n"
     spec = SyntheticTraceSpec(num_functions=5, num_requests=50, zipf_exponent=1.0, duration_ms=100, seed=2)
-    with mock.patch.object(Trace, "__post_init__", side_effect=AssertionError("re-checked")):
+    with mock.patch.object(Trace, "__init__", side_effect=AssertionError("re-checked")):
         parsed = parse_trace(io.StringIO(text))
         generated = generate_synthetic(spec)
         with pytest.raises(AssertionError, match="re-checked"):
