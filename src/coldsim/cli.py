@@ -35,6 +35,7 @@ from .sim import (
 from .traces import (
     DEFAULT_THRESHOLD_TARGETS,
     SyntheticTraceSpec,
+    check_exponent,
     check_target,
     function_name,
     generate_synthetic,
@@ -332,15 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze, reads=("trace",), writes=("--out",))
 
     p = sub.add_parser("generate", parents=[common], help="synthetic trace and profile catalog")
+    exponent = _flag_type(lambda text: check_exponent(float(text)))
     p.add_argument("--functions", type=int, required=True)
     p.add_argument("--requests", type=int, required=True)
-    p.add_argument("--zipf", type=float, default=1.1, help="popularity skew exponent")
+    p.add_argument("--zipf", type=exponent, default=1.1, help="popularity skew exponent")
     p.add_argument("--duration", type=int, default=86_400_000, help="arrival window in ms")
     p.add_argument("--profiles-out", required=True, help="profile catalog CSV path")
     p.add_argument("--catalog-size", type=int, default=200, help="package catalog size")
     p.add_argument("--deps-min", type=int, default=1)
     p.add_argument("--deps-max", type=int, default=5)
-    p.add_argument("--package-zipf", type=float, default=1.0)
+    p.add_argument("--package-zipf", type=exponent, default=1.0)
     p.add_argument("--runtime", default="python")
     p.add_argument("--seed", type=int, default=0, help="seed for the trace and the catalog")
     p.set_defaults(func=cmd_generate, reads=(), writes=("--out", "--profiles-out"))

@@ -13,17 +13,25 @@ operations here are pure and a ``Trace`` is immutable after construction.
 (plain digits, one comma, an id) is parsed by numpy passes over its bytes,
 with no Python statement per row; any other block is parsed row by row, and
 that loop alone defines which rows are valid and what each error says.
+
+The trace writer is the parse's mirror. An int64 trace is formatted by
+numpy passes, a bounded piece of rows at a time: each stamp's digits by
+multiply-shift steps, each id's bytes from a table with one row per
+distinct id. The row formatter, one f-string per row, defines the text and
+writes what that path does not take: stamps past int64, the empty trace,
+and rows wider than ``_WIDEST_ROW`` bytes.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import chain, repeat, starmap
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +48,9 @@ _SIXES = np.uint64(0x0606060606060606)
 _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _EIGHT_DIGIT_PLACES = np.array([1, 10**8, 10**16], dtype=np.int64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so the multiply is invertible
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # a stamp has one digit more than it reaches
+_ROW_BYTES = 1 << 18  # bytes of row matrix the trace writer formats at a time
+_WIDEST_ROW = 255  # bytes; the trace writer's column arithmetic is uint8
 
 
 class TraceParseError(ValueError):
@@ -170,8 +181,7 @@ class SyntheticTraceSpec:
             raise ValueError("num_functions must be >= 1")
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
-        if self.zipf_exponent < 0:
-            raise ValueError("zipf_exponent must be >= 0")
+        check_exponent(self.zipf_exponent)
         if self.duration_ms < 1:
             raise ValueError("duration_ms must be >= 1")
         if self.seed < 0:
@@ -379,11 +389,76 @@ def _check_identifier(name: str, forbidden: str) -> None:
 
 
 def _trace_text(trace: Trace) -> Iterator[str]:
-    """Check every id, then return the trace's CSV text as pieces of at most ``ROW_CHUNK`` rows."""
+    """Check every id, then return the trace's CSV text in pieces of whole rows."""
     for function_id in sorted(trace.names):  # each distinct id once, in a fixed order
         _check_identifier(function_id, _ROW_SEPARATORS)
-    rows = ("".join([f"{ts},{fid}\n" for ts, fid in zip(stamps, ids)]) for stamps, ids in trace.chunks())
-    return chain([TRACE_HEADER + "\n"], rows)
+    header = [TRACE_HEADER + "\n"]
+    if len(trace) and trace.stamps.dtype == np.int64:
+        suffixes = [f",{name}\n".encode("utf-8", "surrogatepass") for name in trace.names]
+        digits = len(str(trace.stamps[-1]))  # the stamps are sorted: the last is the widest
+        width = digits + max(map(len, suffixes))
+        if width <= _WIDEST_ROW:
+            return chain(header, _matrix_rows(trace, suffixes, digits, width))
+    return chain(header, _format_rows(trace))
+
+
+def _format_rows(trace: Trace) -> Iterator[str]:
+    """The trace's rows, one f-string each, ``ROW_CHUNK`` rows a piece: the
+    definition of the trace text, which ``_matrix_rows`` reproduces."""
+    return ("".join([f"{ts},{fid}\n" for ts, fid in zip(stamps, ids)]) for stamps, ids in trace.chunks())
+
+
+def _matrix_rows(trace: Trace, suffixes: list[bytes], digits: int, width: int) -> Iterator[str]:
+    """The trace's rows, as ``_format_rows`` writes them, by numpy passes.
+
+    ``suffixes[c]`` is the UTF-8 of ``",<names[c]>\n"``, ``digits`` the
+    widest stamp's digit count and ``width`` that plus the longest suffix.
+    A piece is a matrix of ``width``-byte rows, ``[stamp as digits with
+    leading zeros | suffix | zero padding]``, from which a keep-mask of each
+    row's columns drops the leading zeros and the padding. The mask is built
+    from lengths, as an id may hold NUL. A piece holds at most
+    ``_ROW_BYTES`` of matrix, so a long id makes pieces short, not wide.
+    """
+    table = np.frombuffer(
+        b"".join([bytes(digits) + suffix.ljust(width - digits, b"\0") for suffix in suffixes]), dtype=np.uint8
+    ).reshape(len(suffixes), width)
+    ends = np.array([digits + len(suffix) for suffix in suffixes], dtype=np.uint8)
+    columns = np.arange(width, dtype=np.uint8)
+    rows = _ROW_BYTES // width
+    for start in range(0, len(trace), rows):
+        stamps = trace.stamps[start:start + rows]
+        codes = trace.codes[start:start + rows]
+        matrix = table[codes]
+        matrix[:, :digits] = _ascii_digits(stamps, digits)
+        first = (digits - 1 - np.searchsorted(_POWERS_OF_TEN, stamps, side="right")).astype(np.uint8)
+        # first <= column < end, as one unsigned compare: columns before ``first`` wrap past ``width``
+        keep = columns - first[:, None] < (ends[codes] - first)[:, None]
+        yield matrix[keep].tobytes().decode("utf-8", "surrogatepass")
+
+
+def _ascii_digits(values: np.ndarray, width: int) -> np.ndarray:
+    """Each non-negative value as ``width`` ASCII digits with leading zeros, one row per value."""
+    words = []
+    for _ in range(-(-width // 8)):  # eight digits at a time, from the right
+        high = values // 10**8
+        words.append(_digit_word((values - high * 10**8).astype(np.uint64)))
+        values = high
+    text = np.stack(words[::-1], axis=1).astype("<u8", copy=False).view(np.uint8)
+    return text[:, text.shape[1] - width:]
+
+
+def _digit_word(value: np.ndarray) -> np.ndarray:
+    """Each value below 10**8 as eight ASCII digits in a little-endian uint64,
+    the leading digit in its lowest byte: the inverse of ``_eight_digits``.
+    The value is split into halves, quads of two digits, then digits, each
+    lane's quotient taken by a multiply and a shift."""
+    high = value * np.uint64(0xD1B71759) >> np.uint64(45)  # value // 10**4
+    word = high | (value - high * np.uint64(10**4)) << np.uint64(32)
+    high = (word * np.uint64(5243) >> np.uint64(19)) & np.uint64(0x0000007F0000007F)  # each lane // 100
+    word = high | (word - high * np.uint64(100)) << np.uint64(16)
+    high = (word * np.uint64(103) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)  # each lane // 10
+    word = high | (word - high * np.uint64(10)) << np.uint64(8)
+    return word | _ZEROS
 
 
 def write_trace(trace: Trace, stream: IO[str]) -> None:
@@ -396,12 +471,18 @@ def save_trace(trace: Trace, path) -> None:
         handle.writelines(text)
 
 
+def check_exponent(exponent: float) -> float:
+    """``exponent`` itself when it is a finite Zipf exponent >= 0; a ValueError otherwise."""
+    if not (math.isfinite(exponent) and exponent >= 0):
+        raise ValueError(f"Zipf exponent must be a finite number >= 0: {exponent}")
+    return exponent
+
+
 def zipf_mass(n: int, exponent: float) -> np.ndarray:
     """Normalized mass table for ranks 0..n-1, p(r) proportional to (r+1)^-exponent."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
+    check_exponent(exponent)
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks ** (-float(exponent))
     return weights / weights.sum()
@@ -495,6 +576,13 @@ def synthesize_profiles(
     catalog: per-function dependency counts are uniform over
     ``deps_per_function`` and packages are sampled without replacement with
     Zipf-distributed popularity. Deterministic under a fixed seed.
+
+    Each function draws ``k = rng.integers(lo, hi + 1)``, then its packages
+    by ``_package_sampler``, which makes exactly the draws of
+    ``rng.choice(catalog_size, k, replace=False, p=mass)``, so the catalog
+    is the one ``choice`` gives. ``choice`` is not called because it checks
+    ``mass`` and accumulates its CDF again on every call; the sampler builds
+    the CDF once per catalog.
     """
     distinct = sorted(set(function_ids))
     if not distinct:
@@ -507,20 +595,52 @@ def synthesize_profiles(
     if hi > catalog_size:
         raise ValueError("dependency range upper bound exceeds catalog size")
     rng = np.random.default_rng(seed)
-    mass = zipf_mass(catalog_size, package_zipf_exponent)
+    draw = _package_sampler(zipf_mass(catalog_size, package_zipf_exponent))
     names = [package_name(i, catalog_size) for i in range(catalog_size)]
     profiles = []
     for function_id in distinct:
-        k = int(rng.integers(lo, hi + 1))
-        if k:
-            picks = rng.choice(catalog_size, size=k, replace=False, p=mass)
-            deps = frozenset(names[int(i)] for i in picks)
-        else:
-            deps = frozenset()
+        deps = frozenset([names[i] for i in draw(rng, int(rng.integers(lo, hi + 1)))])
         profiles.append(
             FunctionProfile(function_id, runtime, deps, code_size_kb, exec_duration_ms)
         )
     return profiles
+
+
+def _package_sampler(mass: np.ndarray) -> Callable[[np.random.Generator, int], list[int]]:
+    """``draw(rng, k)``: ``k`` distinct indices into ``mass``, drawn as
+    ``rng.choice(len(mass), k, replace=False, p=mass)`` draws them.
+
+    A round maps one uniform per index still missing through the CDF and
+    keeps the new indices in first-seen order; the next round's CDF is that
+    of ``mass`` with every index found so far zeroed. Each CDF is divided
+    by its last entry. ``k == 0`` draws nothing, and a ``k`` above the count
+    of non-zero entries raises before drawing, as ``choice`` does.
+    """
+    catalog_cdf = np.cumsum(mass)
+    catalog_cdf /= catalog_cdf[-1]
+    drawable = int(np.count_nonzero(mass))  # entries whose mass did not underflow to zero
+
+    def draw(rng: np.random.Generator, k: int) -> list[int]:
+        if k > drawable:
+            raise ValueError(
+                f"too few packages have non-zero popularity at this package Zipf exponent to draw {k} "
+                f"distinct dependencies: {drawable} of {len(mass)}"
+            )
+        found: list[int] = []
+        cdf = catalog_cdf
+        while len(found) < k:
+            uniforms = rng.random(k - len(found))
+            if found:
+                left = mass.copy()
+                left[found] = 0
+                cdf = np.cumsum(left)
+                cdf /= cdf[-1]
+            for index in cdf.searchsorted(uniforms, side="right").tolist():
+                if index not in found:
+                    found.append(index)
+        return found
+
+    return draw
 
 
 def index_profiles(profiles: Iterable[FunctionProfile]) -> dict[str, FunctionProfile]:
@@ -574,10 +694,11 @@ def load_profiles(path) -> list[FunctionProfile]:
 
 def _profile_lines(profiles: Sequence[FunctionProfile]) -> list[str]:
     """The catalog's CSV lines; a name its reader would split or alter raises ValueError."""
+    names = dict.fromkeys(chain.from_iterable((p.function_id, p.runtime, *p.dependencies) for p in profiles))
+    for name in names:  # each distinct name once, in profile order
+        _check_identifier(name, _ROW_SEPARATORS + ";")  # ";" separates dependencies
     lines = [PROFILE_HEADER + "\n"]
     for p in profiles:
-        for name in (p.function_id, p.runtime, *p.dependencies):
-            _check_identifier(name, _ROW_SEPARATORS + ";")  # ";" separates dependencies
         deps = ";".join(sorted(p.dependencies))
         lines.append(f"{p.function_id},{p.runtime},{p.code_size_kb},{p.exec_duration_ms},{deps}\n")
     return lines

@@ -129,6 +129,16 @@ def test_generate_zero_requests_exits_2(tmp_path, capsys):
     assert "num_requests" in capsys.readouterr().err
 
 
+def test_generate_with_too_few_drawable_packages_exits_2(tmp_path):
+    # at exponent 2000 only the first package has non-zero mass, and most functions draw more
+    argv = generate_args(tmp_path, functions=100, requests=100) + ["--package-zipf", "2000"]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "coldsim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "too few packages have non-zero popularity at this package Zipf exponent" in proc.stderr
+
+
 def test_generate_requires_out(tmp_path, capsys):
     args = generate_args(tmp_path)
     del args[args.index("--out") : args.index("--out") + 2]
@@ -525,6 +535,9 @@ def test_only_generate_takes_a_seed(argv, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+GENERATE = ["generate", "--functions", "10", "--requests", "50", "--out", "t.csv", "--profiles-out", "p.csv"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -539,8 +552,16 @@ def test_only_generate_takes_a_seed(argv, capsys):
         (["sweep", "trace.csv", "--sizes", "1GiB,0"], "argument --sizes: size must be at least 1 byte: '0'"),
         (["sweep", "trace.csv", "--sizes", "1GiB", "--footprint", "0KiB"],
          "argument --footprint: size must be at least 1 byte: '0KiB'"),
+        (GENERATE + ["--zipf", "nan"], "argument --zipf: Zipf exponent must be a finite number >= 0: nan"),
+        (GENERATE + ["--zipf", "inf"], "argument --zipf: Zipf exponent must be a finite number >= 0: inf"),
+        (GENERATE + ["--zipf", "abc"], "argument --zipf: could not convert string to float: 'abc'"),
+        (GENERATE + ["--package-zipf", "nan"],
+         "argument --package-zipf: Zipf exponent must be a finite number >= 0: nan"),
+        (GENERATE + ["--package-zipf", "-1"],
+         "argument --package-zipf: Zipf exponent must be a finite number >= 0: -1.0"),
     ],
-    ids=["sizes", "footprint", "targets", "targets-above-1", "targets-0", "sizes-0", "footprint-0"],
+    ids=["sizes", "footprint", "targets", "targets-above-1", "targets-0", "sizes-0", "footprint-0",
+         "zipf-nan", "zipf-inf", "zipf-text", "package-zipf-nan", "package-zipf-negative"],
 )
 def test_unparseable_flag_value_names_the_flag(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -9,6 +9,9 @@ of the same trace is pinned the same way, with a digest computed when every
 size was a separate ``OrderedDict`` LRU replay. The clustered partition of
 the same catalog is pinned with a digest computed when the agglomeration kept
 its cross-cluster sums in a pair-keyed dict beside per-cluster neighbour sets.
+The files ``generate`` writes at paper scale are pinned with digests computed
+when each dependency set came from ``Generator.choice`` and each trace row
+from one f-string.
 """
 
 import hashlib
@@ -17,6 +20,7 @@ import json
 
 import pytest
 
+from coldsim import cli
 from coldsim.locality import build_dependency_graph, partition_clustered, partition_round_robin
 from coldsim.sim import (
     DEFAULT_FOOTPRINT_BYTES,
@@ -102,3 +106,21 @@ def test_clustered_partition_is_byte_identical(workload):
     partition = partition_clustered(graph, profiles, 3, 9, request_counts(trace))
     text = json.dumps(partition.to_dict(), sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == CLUSTERED_DIGEST
+
+
+# the set-up of the paper-scale benchmark workloads at seed 1
+PAPER_SCALE_GENERATE = [
+    "generate", "--quiet", "--functions", "5266", "--requests", "798075", "--duration", "86400000",
+    "--zipf", "1.1", "--seed", "1",
+]
+GENERATE_DIGESTS = {
+    "trace.csv": "e9e921dbd461d5e2d4f03c30a4ace798f9195b2cdb7ae3e008dd2501e0ab4df4",
+    "profiles.csv": "a9394befb1acc2451e93d5a460c8ccc3e8375558da016e66f92506fddc26058f",
+}
+
+
+def test_paper_scale_generate_is_byte_identical(tmp_path):
+    argv = PAPER_SCALE_GENERATE + ["--out", str(tmp_path / "trace.csv"), "--profiles-out", str(tmp_path / "profiles.csv")]
+    assert cli.main(argv) == 0
+    for name, digest in GENERATE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

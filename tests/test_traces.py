@@ -27,6 +27,7 @@ from coldsim.traces import (
     synthesize_profiles,
     write_profiles,
     write_trace,
+    zipf_mass,
 )
 
 from reference import reference_parse_trace
@@ -169,6 +170,51 @@ def test_request_counts_match_a_counter_over_the_ids(ids, functions, requests, s
         assert 0 not in counts.values()
         # no id that no request names
         assert sorted(trace.names) == sorted(set(trace.function_ids))
+
+
+EDGE_STAMPS = (0, 9, 10, 10**8 - 1, 10**8, 10**16, 2**63 - 1)
+
+
+def formatted_text(trace: Trace) -> str:
+    return TRACE_HEADER + "\n" + "".join(traces._format_rows(trace))
+
+
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.sampled_from(EDGE_STAMPS), st.integers(0, 2**63 - 1)), TRACE_IDS),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([256, 1 << 18]),
+)
+@example([(stamp, "a") for stamp in EDGE_STAMPS], 1 << 18)
+@example([(5, "f0"), (5, "日本\x00"), (70, "x" * 200), (10**17, "\x00")], 256)  # 220-byte rows
+def test_write_trace_matches_the_row_formatter(rows, row_bytes):
+    rows.sort(key=lambda row: row[0])
+    trace = Trace([stamp for stamp, _ in rows], [fid for _, fid in rows])
+    want = formatted_text(trace)
+    buffer = io.StringIO()
+    # 256 bytes a piece writes a row or a few at a time
+    with mock.patch.object(traces, "_ROW_BYTES", row_bytes), \
+            mock.patch.object(traces, "_format_rows", side_effect=AssertionError("row formatter")):
+        write_trace(trace, buffer)
+    assert buffer.getvalue() == want
+
+
+@pytest.mark.parametrize(
+    "trace, text",
+    [
+        (Trace((), ()), ""),
+        (Trace((1, 2**63, 2**64 + 5), ("a", "b", "a")), f"1,a\n{2**63},b\n{2**64 + 5},a\n"),  # an object column
+        (trace_of("a", "b" * 254), "0,a\n1," + "b" * 254 + "\n"),  # a 257-byte row
+    ],
+    ids=["empty", "past-int64", "wide-row"],
+)
+def test_the_row_formatter_writes_what_the_matrix_path_cannot(trace, text):
+    buffer = io.StringIO()
+    with mock.patch.object(traces, "_matrix_rows", side_effect=AssertionError("matrix path")):
+        write_trace(trace, buffer)
+    assert buffer.getvalue() == formatted_text(trace) == TRACE_HEADER + "\n" + text
 
 
 def test_parse_keeps_no_per_row_objects():
@@ -468,6 +514,56 @@ def test_synthesize_profiles_popular_package_beats_median():
 def test_synthesize_profiles_range_exceeding_catalog_errors():
     with pytest.raises(ValueError, match="catalog"):
         synthesize_profiles(trace_of("a").function_ids, 3, deps_per_function=(1, 4))
+
+
+@st.composite
+def sampler_cases(draw):
+    catalog = draw(st.integers(1, 300))
+    return draw(st.integers(0, 2**32 - 1)), catalog, draw(st.floats(0, 4)), draw(st.integers(0, catalog))
+
+
+@given(sampler_cases())
+@example((0, 2, 3.0, 2))  # the second package is rarely drawn first time round
+@example((5, 3, 4.0, 3))
+@example((1, 300, 0.0, 300))  # uniform mass, every package
+@example((2, 1, 1.0, 0))
+def test_package_sampler_makes_the_draws_of_choice(case):
+    seed, catalog, exponent, k = case
+    mass = zipf_mass(catalog, exponent)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert traces._package_sampler(mass)(ours, k) == theirs.choice(catalog, k, replace=False, p=mass).tolist()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_package_sampler_refuses_more_packages_than_have_mass():
+    mass = zipf_mass(200, 2000)  # every rank past the first underflows to zero
+    assert np.count_nonzero(mass) == 1
+    draw = traces._package_sampler(mass)
+    no_draws = mock.Mock(random=mock.Mock(side_effect=AssertionError("drew before refusing")))
+    with pytest.raises(ValueError, match="too few packages have non-zero popularity .* 2 distinct dependencies: 1 of 200"):
+        draw(no_draws, 2)
+    assert draw(np.random.default_rng(0), 1) == [0]
+
+
+@pytest.mark.parametrize("exponent", [float("nan"), float("inf"), -0.5])
+def test_zipf_mass_refuses_an_exponent_that_is_not_finite_and_non_negative(exponent):
+    with pytest.raises(ValueError, match="Zipf exponent must be a finite number >= 0"):
+        zipf_mass(10, exponent)
+    with pytest.raises(ValueError, match="Zipf exponent must be a finite number >= 0"):
+        SyntheticTraceSpec(10, 10, exponent, 1000, seed=0)
+
+
+def test_profile_names_are_checked_once_each_in_profile_order():
+    profiles = [FunctionProfile(f"f{i}", "python", frozenset({"numpy", "scipy"})) for i in range(50)]
+    with mock.patch.object(traces, "_check_identifier", wraps=traces._check_identifier) as check:
+        write_profiles(profiles, io.StringIO())
+    checked = [call.args[0] for call in check.call_args_list]
+    assert sorted(checked) == sorted({"python", "numpy", "scipy", *(p.function_id for p in profiles)})
+    assert checked[:2] == ["f0", "python"]
+    # "py;thon" comes first in profile order, "b,c" first in sorted order
+    refused = [FunctionProfile("a", "py;thon"), FunctionProfile("b,c", "py;thon")]
+    with pytest.raises(ValueError, match=re.escape(repr("py;thon"))):
+        write_profiles(refused, io.StringIO())
 
 
 def test_profiles_csv_roundtrip():
