@@ -274,23 +274,18 @@ def run(
     """Simulate the full trace, passing each outcome to ``sink``; see the module docstring."""
     catalog = index_profiles(profiles)
     group_of = config.partition.function_to_group()
-    function_ids = sorted(trace.names)
-    for fid in function_ids:
+    for fid in trace.names:
         if fid not in catalog:
             raise ValueError(f"no profile for function {fid!r}")
         if fid not in group_of:
             raise ValueError(f"unpartitioned function {fid!r}")
 
     by_group = build_workers(config)
-    # (profile, candidate workers, footprint) per function, looked up once
-    per_function = {
-        fid: (
-            catalog[fid],
-            by_group[group_of[fid]],
-            config.footprint_overrides.get(fid, config.footprint_bytes),
-        )
-        for fid in function_ids
-    }
+    # (id, profile, candidate workers, footprint) per id code, looked up once
+    per_function = [
+        (fid, catalog[fid], by_group[group_of[fid]], config.footprint_overrides.get(fid, config.footprint_bytes))
+        for fid in trace.names
+    ]
     policy = config.routing_policy
     model = config.latency_model
     shutdown_ms = model.shutdown_ms
@@ -301,8 +296,8 @@ def run(
     # a breakdown depends only on these probe features, whose first is the tier, so
     # equal ones share [breakdown, requests]
     shared: dict[tuple, list] = {}
-    for now, fid in trace.rows():
-        profile, candidates, footprint = per_function[fid]
+    for now, code in trace.rows():
+        fid, profile, candidates, footprint = per_function[code]
         worker = _select_worker(candidates, fid, now, policy, last_worker)
         start = worker.busy_until_ms
         if start <= now:

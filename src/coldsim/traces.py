@@ -4,10 +4,11 @@ popularity-skew analysis.
 The ingestion boundary is a normalized CSV (``timestamp_ms,function_id``);
 converting platform-native trace archives into this format is left to
 external tooling. A ``Trace`` holds that CSV's rows as numpy columns: an
-int64 timestamp array, an int32 array of id codes, and one string per
-distinct function id that the codes index. It keeps no object per row;
-consumers count codes, or walk the rows a bounded chunk at a time. All
-operations here are pure and a ``Trace`` is immutable after construction.
+int64 timestamp array, an int32 array of id codes, and the sorted distinct
+function ids that the codes index. A trace has this one form, so equal
+traces have equal columns. It keeps no object per row; consumers count
+codes, or walk the rows a bounded chunk at a time. All operations here are
+pure and a ``Trace`` is immutable after construction.
 
 ``parse_trace`` reads the CSV in blocks of text. A block of canonical rows
 (plain digits, one comma, an id) is parsed by numpy passes over its bytes,
@@ -18,8 +19,8 @@ The trace writer is the parse's mirror. An int64 trace is formatted by
 numpy passes, a bounded piece of rows at a time: each stamp's digits by
 multiply-shift steps, each id's bytes from a table with one row per
 distinct id. The row formatter, one f-string per row, defines the text and
-writes what that path does not take: stamps past int64, the empty trace,
-and rows wider than ``_WIDEST_ROW`` bytes.
+writes what that path does not take: the empty trace and rows wider than
+``_WIDEST_ROW`` bytes.
 """
 
 from __future__ import annotations
@@ -30,16 +31,17 @@ import math
 import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 TRACE_HEADER = "timestamp_ms,function_id"
-PROFILE_HEADER = "function_id,runtime,code_size_kb,exec_duration_ms,dependencies"
+PROFILE_HEADER = "function_id,runtime,exec_duration_ms,dependencies"
 
 DEFAULT_THRESHOLD_TARGETS = (0.5, 0.8)
 
+MAX_TIMESTAMP_MS = (1 << 63) - 1  # the largest value of the int64 timestamp column
 BLOCK = 1 << 19  # characters of trace text parsed per block
 ROW_CHUNK = 1 << 12  # rows converted to Python objects at a time when a trace is walked
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # keep n low bytes
@@ -61,34 +63,40 @@ class Trace:
     """Invocation events in time order, held as columns.
 
     Row ``i`` is a request for ``names[codes[i]]`` at ``stamps[i]``.
-    ``stamps`` is an int64 array (an object array of Python ints when a
-    value does not fit), ``codes`` an int32 array, and ``names`` holds one
-    string per distinct id, each of which occurs. Timestamps are
-    non-negative and non-decreasing and ids are non-empty. Two traces are
-    equal when their rows are, whatever the order of their names. The trace
-    keeps no record of its source and no object per row.
+    ``stamps`` is an int64 array, ``codes`` an int32 array, and ``names``
+    holds the distinct ids in sorted order, each of which occurs.
+    Timestamps are in ``0..MAX_TIMESTAMP_MS`` and non-decreasing, and ids
+    are non-empty. Every trace of the same rows has the same three fields,
+    so two traces are equal when their fields are. The trace keeps no
+    record of its source and no object per row.
     """
 
     __slots__ = ("stamps", "codes", "names")
 
     def __init__(self, timestamps_ms: Iterable[int], function_ids: Iterable[str]) -> None:
-        stamps = _int_column(list(map(operator.index, timestamps_ms)))
+        stamps = list(map(operator.index, timestamps_ms))
         ids = list(function_ids)
         if len(stamps) != len(ids):
             raise ValueError("timestamps_ms and function_ids must have equal lengths")
-        if len(stamps) and stamps.min() < 0:
+        if stamps and min(stamps) < 0:
             raise ValueError("timestamp_ms must be >= 0")
-        if (stamps[1:] < stamps[:-1]).any():
+        if stamps and max(stamps) > MAX_TIMESTAMP_MS:
+            raise ValueError(f"timestamp_ms must be <= {MAX_TIMESTAMP_MS}")
+        column = np.array(stamps, dtype=np.int64)
+        if (column[1:] < column[:-1]).any():
             raise ValueError("trace rows must be sorted by timestamp_ms")
         if not all(ids):
             raise ValueError("function_id must be non-empty")
-        codes: dict[str, int] = {}
-        rows = np.array([codes.setdefault(f, len(codes)) for f in ids], dtype=np.int32)
-        self._set(stamps, rows, tuple(codes))
+        names = tuple(sorted(set(ids)))
+        code = {name: c for c, name in enumerate(names)}
+        self._set(column, np.array([code[f] for f in ids], dtype=np.int32), names)
 
     @classmethod
     def _from_valid_columns(cls, stamps: np.ndarray, codes: np.ndarray, names: tuple[str, ...]) -> "Trace":
-        """A trace from columns already known to pass ``__init__``'s checks, unchecked."""
+        """A trace from columns already known to pass ``__init__``'s checks, unchecked.
+
+        ``names`` must be sorted, each name must occur, and ``codes`` must index it.
+        """
         trace = object.__new__(cls)
         trace._set(stamps, codes, names)
         return trace
@@ -107,31 +115,22 @@ class Trace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        if len(self) != len(other) or not np.array_equal(self.stamps, other.stamps):
-            return False
-        code_in_other = {name: code for code, name in enumerate(other.names)}
-        recode = np.array([code_in_other.get(name, -1) for name in self.names], dtype=np.int32)
-        return bool(np.array_equal(recode[self.codes], other.codes))
+        return (
+            self.names == other.names
+            and np.array_equal(self.stamps, other.stamps)
+            and np.array_equal(self.codes, other.codes)
+        )
 
     def __repr__(self) -> str:
         return f"Trace(<{len(self)} rows of {len(self.names)} functions>)"
 
-    def chunks(self) -> Iterator[tuple[list[int], list[str]]]:
-        """The rows in order, as (timestamps, ids) lists of at most ``ROW_CHUNK`` rows each."""
-        names = np.array(self.names, dtype=object)
-        for start in range(0, len(self), ROW_CHUNK):
-            stop = start + ROW_CHUNK
-            yield self.stamps[start:stop].tolist(), names[self.codes[start:stop]].tolist()
-
-    def rows(self) -> Iterator[tuple[int, str]]:
-        """(timestamp_ms, function_id) of each row in order, converted a chunk at a time."""
-        return chain.from_iterable(starmap(zip, self.chunks()))
+    def rows(self) -> Iterator[tuple[int, int]]:
+        """(timestamp_ms, id code) of each row in order, converted a chunk at a time."""
+        return zip(_walk(self.stamps), _walk(self.codes))
 
     def code_rows(self) -> Iterator[int]:
         """The id code of each row in order, converted a chunk at a time."""
-        return chain.from_iterable(
-            self.codes[start:start + ROW_CHUNK].tolist() for start in range(0, len(self), ROW_CHUNK)
-        )
+        return _walk(self.codes)
 
     @property
     def timestamps_ms(self) -> tuple[int, ...]:
@@ -144,14 +143,18 @@ class Trace:
         return tuple(np.array(self.names, dtype=object)[self.codes].tolist())
 
 
+def _walk(column: np.ndarray) -> Iterator[int]:
+    """The column's values in order as Python ints, converted ``ROW_CHUNK`` at a time."""
+    return chain.from_iterable(column[start:start + ROW_CHUNK].tolist() for start in range(0, len(column), ROW_CHUNK))
+
+
 @dataclass(frozen=True)
 class FunctionProfile:
-    """Static per-function metadata: runtime tag, dependency set, sizes."""
+    """Static per-function metadata: runtime tag, dependency set, execution time."""
 
     function_id: str
     runtime: str = "python"
     dependencies: frozenset[str] = frozenset()
-    code_size_kb: int = 0
     exec_duration_ms: int = 0
 
     def __post_init__(self) -> None:
@@ -162,8 +165,8 @@ class FunctionProfile:
             raise ValueError("runtime must be non-empty")
         if "" in self.dependencies:
             raise ValueError("dependency names must be non-empty")
-        if self.code_size_kb < 0 or self.exec_duration_ms < 0:
-            raise ValueError("code_size_kb and exec_duration_ms must be >= 0")
+        if self.exec_duration_ms < 0:
+            raise ValueError("exec_duration_ms must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -182,8 +185,8 @@ class SyntheticTraceSpec:
         if self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
         check_exponent(self.zipf_exponent)
-        if self.duration_ms < 1:
-            raise ValueError("duration_ms must be >= 1")
+        if not 1 <= self.duration_ms <= MAX_TIMESTAMP_MS + 1:  # stamps are drawn below it
+            raise ValueError(f"duration_ms must be in 1..{MAX_TIMESTAMP_MS + 1}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -239,7 +242,7 @@ def parse_trace(stream: IO[str]) -> Trace:
         parsed = _parse_canonical_block(block, codes, known)
         if parsed is None:
             stamps, ids = _parse_rows(io.StringIO(block), lineno, codes)
-            parsed = _int_column(stamps), np.array(ids, dtype=np.int32)
+            parsed = np.array(stamps, dtype=np.int64), np.array(ids, dtype=np.int32)
         stamp_blocks.append(parsed[0])
         code_blocks.append(parsed[1])
         lineno += len(parsed[0])
@@ -253,9 +256,12 @@ def parse_trace(stream: IO[str]) -> Trace:
         order = np.argsort(stamps, kind="stable")  # stable: ties keep file order
         stamps, rows = stamps[order], rows[order]
         del order
+    names = tuple(sorted(codes))
+    rank = np.empty(len(names), dtype=np.int32)  # first-seen code -> code in ``names``
+    rank[[codes[name] for name in names]] = np.arange(len(names))
     # every row was checked as it was parsed, the rows are now sorted, and
-    # ``codes`` holds exactly the ids they name
-    return Trace._from_valid_columns(stamps, rows, tuple(codes))
+    # ``names`` holds exactly the ids they name
+    return Trace._from_valid_columns(stamps, rank[rows], names)
 
 
 def _parse_rows(lines: Iterable[str], lineno: int, codes: dict[str, int]) -> tuple[list[int], list[int]]:
@@ -275,19 +281,13 @@ def _parse_rows(lines: Iterable[str], lineno: int, codes: dict[str, int]) -> tup
             raise TraceParseError(f"line {lineno}: timestamp_ms is not an integer: {ts_text!r}") from None
         if ts < 0:
             raise TraceParseError(f"line {lineno}: timestamp_ms must be >= 0")
+        if ts > MAX_TIMESTAMP_MS:
+            raise TraceParseError(f"line {lineno}: timestamp_ms must be <= {MAX_TIMESTAMP_MS}")
         if not function_id:
             raise TraceParseError(f"line {lineno}: empty function_id")
         stamps.append(ts)
         ids.append(codes.setdefault(function_id, len(codes)))
     return stamps, ids
-
-
-def _int_column(values: list[int]) -> np.ndarray:
-    """int64 where every value fits, else Python ints in an object array."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _parse_canonical_block(
@@ -390,10 +390,10 @@ def _check_identifier(name: str, forbidden: str) -> None:
 
 def _trace_text(trace: Trace) -> Iterator[str]:
     """Check every id, then return the trace's CSV text in pieces of whole rows."""
-    for function_id in sorted(trace.names):  # each distinct id once, in a fixed order
+    for function_id in trace.names:  # each distinct id once, in sorted order
         _check_identifier(function_id, _ROW_SEPARATORS)
     header = [TRACE_HEADER + "\n"]
-    if len(trace) and trace.stamps.dtype == np.int64:
+    if len(trace):
         suffixes = [f",{name}\n".encode("utf-8", "surrogatepass") for name in trace.names]
         digits = len(str(trace.stamps[-1]))  # the stamps are sorted: the last is the widest
         width = digits + max(map(len, suffixes))
@@ -403,9 +403,10 @@ def _trace_text(trace: Trace) -> Iterator[str]:
 
 
 def _format_rows(trace: Trace) -> Iterator[str]:
-    """The trace's rows, one f-string each, ``ROW_CHUNK`` rows a piece: the
-    definition of the trace text, which ``_matrix_rows`` reproduces."""
-    return ("".join([f"{ts},{fid}\n" for ts, fid in zip(stamps, ids)]) for stamps, ids in trace.chunks())
+    """The trace's rows, one f-string each: the definition of the trace
+    text, which ``_matrix_rows`` reproduces."""
+    names = trace.names
+    return (f"{ts},{names[code]}\n" for ts, code in trace.rows())
 
 
 def _matrix_rows(trace: Trace, suffixes: list[bytes], digits: int, width: int) -> Iterator[str]:
@@ -498,7 +499,9 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> Trace:
 
     Function ranks are drawn by inverse CDF over the normalized Zipf mass
     table; arrival timestamps are uniform over [0, duration_ms) and sorted.
-    Rank 0 (``f0000``) is the most popular function.
+    Rank 0 (``f0000``) is the most popular function. ``function_name``
+    pads every rank to one width, so the names of the drawn ranks, in rank
+    order, are sorted.
     """
     rng = np.random.default_rng(spec.seed)
     cdf = np.cumsum(zipf_mass(spec.num_functions, spec.zipf_exponent))
@@ -566,7 +569,6 @@ def synthesize_profiles(
     package_zipf_exponent: float = 1.0,
     seed: int = 0,
     runtime: str = "python",
-    code_size_kb: int = 500,
     exec_duration_ms: int = 63,
 ) -> list[FunctionProfile]:
     """Build one profile per distinct function id, in id order.
@@ -600,9 +602,7 @@ def synthesize_profiles(
     profiles = []
     for function_id in distinct:
         deps = frozenset([names[i] for i in draw(rng, int(rng.integers(lo, hi + 1)))])
-        profiles.append(
-            FunctionProfile(function_id, runtime, deps, code_size_kb, exec_duration_ms)
-        )
+        profiles.append(FunctionProfile(function_id, runtime, deps, exec_duration_ms))
     return profiles
 
 
@@ -666,22 +666,19 @@ def parse_profiles(stream: IO[str] | Iterable[str]) -> list[FunctionProfile]:
     for lineno, line in enumerate(lines, start=2):
         row = line.rstrip("\r\n")
         parts = row.split(",")
-        if len(parts) != 5:
-            raise TraceParseError(f"line {lineno}: expected 5 columns, got {len(parts)}")
-        function_id, runtime, size_text, duration_text, deps_text = parts
+        if len(parts) != 4:
+            raise TraceParseError(f"line {lineno}: expected 4 columns, got {len(parts)}")
+        function_id, runtime, duration_text, deps_text = parts
         try:
-            code_size_kb = int(size_text)
             exec_duration_ms = int(duration_text)
         except ValueError:
-            raise TraceParseError(f"line {lineno}: non-integer size or duration") from None
+            raise TraceParseError(f"line {lineno}: non-integer duration") from None
         if function_id in seen:
             raise TraceParseError(f"line {lineno}: duplicate function_id {function_id!r}")
         seen.add(function_id)
         deps = frozenset(deps_text.split(";")) if deps_text else frozenset()
         try:
-            profiles.append(
-                FunctionProfile(function_id, runtime, deps, code_size_kb, exec_duration_ms)
-            )
+            profiles.append(FunctionProfile(function_id, runtime, deps, exec_duration_ms))
         except ValueError as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from None
     return profiles
@@ -700,7 +697,7 @@ def _profile_lines(profiles: Sequence[FunctionProfile]) -> list[str]:
     lines = [PROFILE_HEADER + "\n"]
     for p in profiles:
         deps = ";".join(sorted(p.dependencies))
-        lines.append(f"{p.function_id},{p.runtime},{p.code_size_kb},{p.exec_duration_ms},{deps}\n")
+        lines.append(f"{p.function_id},{p.runtime},{p.exec_duration_ms},{deps}\n")
     return lines
 
 

@@ -416,6 +416,8 @@ def reference_parse_trace(stream) -> Trace:
             raise TraceParseError(f"line {lineno}: timestamp_ms is not an integer: {ts_text!r}") from None
         if ts < 0:
             raise TraceParseError(f"line {lineno}: timestamp_ms must be >= 0")
+        if ts >= 2**63:
+            raise TraceParseError(f"line {lineno}: timestamp_ms must be <= {2**63 - 1}")
         if not function_id:
             raise TraceParseError(f"line {lineno}: empty function_id")
         stamps.append(ts)

@@ -143,7 +143,7 @@ def test_criterion_03_sweep_monotonicity_and_saturation(big_trace):
 def test_criterion_04_fig1_calibration(tmp_path):
     model = LatencyModel()
     probe = CacheLookupResult(Tier.MISS, cold=frozenset({"numpy"}))
-    profile = FunctionProfile("fn", "python", frozenset({"numpy"}), 100, 63)
+    profile = FunctionProfile("fn", "python", frozenset({"numpy"}), 63)
     breakdown = init_latency(probe, model)
     assert breakdown.total_ms == 3472
 
@@ -157,7 +157,7 @@ def test_criterion_04_fig1_calibration(tmp_path):
     csv_path = tmp_path / "per_request.csv"
     trace_path.write_text("timestamp_ms,function_id\n0,fn\n5000,fn\n")
     profiles_path.write_text(
-        "function_id,runtime,code_size_kb,exec_duration_ms,dependencies\nfn,python,100,63,numpy\n"
+        "function_id,runtime,exec_duration_ms,dependencies\nfn,python,63,numpy\n"
     )
     assert main([
         "partition", str(profiles_path), str(trace_path),
@@ -207,7 +207,7 @@ def test_criterion_05_three_tier_monotonicity():
     for _ in range(1000):
         model = LatencyModel() if rnd.random() < 0.5 else random_latency_model(rnd)
         deps = frozenset(rnd.sample(pool, rnd.randint(1, 6)))
-        profile = FunctionProfile("fn", "python", deps, 100, 63)
+        profile = FunctionProfile("fn", "python", deps, 63)
 
         handler = HandlerCache(MIB)
         handler.insert("fn", 1)

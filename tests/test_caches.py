@@ -31,7 +31,7 @@ FIG1 = LatencyModel()
 
 
 def profile(fid="fn", deps=()):
-    return FunctionProfile(fid, "python", frozenset(deps), 100, 63)
+    return FunctionProfile(fid, "python", frozenset(deps), 63)
 
 
 # --- handler cache ----------------------------------------------------------

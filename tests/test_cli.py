@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from coldsim.cli import _CONFIG_READERS, _build_sim_config, main, parse_size
 from coldsim.locality import LocalityGroup, Partition
 from coldsim.sim import SimConfig
+from coldsim.traces import FunctionProfile, load_profiles, save_profiles
 
 from conftest import REPO_ROOT
 
@@ -26,7 +27,7 @@ def write_trace_csv(path: Path, stamped_ids):
 
 
 def write_profiles_csv(path: Path, rows):
-    lines = ["function_id,runtime,code_size_kb,exec_duration_ms,dependencies"]
+    lines = ["function_id,runtime,exec_duration_ms,dependencies"]
     lines.extend(rows)
     path.write_text("\n".join(lines) + "\n")
 
@@ -129,6 +130,21 @@ def test_generate_zero_requests_exits_2(tmp_path, capsys):
     assert "num_requests" in capsys.readouterr().err
 
 
+def test_every_int64_stamp_is_generated_and_read_and_the_next_is_refused(tmp_path, capsys):
+    args = generate_args(tmp_path, requests=50)
+    duration = args.index("--duration") + 1
+    args[duration] = str(2**63)  # stamps are drawn in 0..2**63 - 1
+    assert main(args) == 0
+    assert main(["analyze", str(tmp_path / "trace.csv"), "--quiet", "--out", str(tmp_path / "skew.json")]) == 0
+    args[duration] = str(2**63 + 1)
+    assert main(args) == 2
+    assert f"error: duration_ms must be in 1..{2**63}\n" == capsys.readouterr().err
+    past = tmp_path / "past.csv"
+    write_trace_csv(past, [(0, "a"), (2**63, "b")])
+    assert main(["analyze", str(past)]) == 2
+    assert f"error: line 3: timestamp_ms must be <= {2**63 - 1}\n" == capsys.readouterr().err
+
+
 def test_generate_with_too_few_drawable_packages_exits_2(tmp_path):
     # at exponent 2000 only the first package has non-zero mass, and most functions draw more
     argv = generate_args(tmp_path, functions=100, requests=100) + ["--package-zipf", "2000"]
@@ -153,12 +169,12 @@ def clique_inputs(tmp_path):
     write_profiles_csv(
         profiles,
         [
-            "f1,python,10,63,a;b",
-            "f2,python,10,63,a;b",
-            "f3,python,10,63,a;b",
-            "f4,python,10,63,c;d",
-            "f5,python,10,63,c;d",
-            "f6,python,10,63,c;d",
+            "f1,python,63,a;b",
+            "f2,python,63,a;b",
+            "f3,python,63,a;b",
+            "f4,python,63,c;d",
+            "f5,python,63,c;d",
+            "f6,python,63,c;d",
         ],
     )
     return trace, profiles
@@ -214,7 +230,7 @@ def test_partition_weight_by_duration_moves_workers(tmp_path, capsys):
     profiles = tmp_path / "profiles.csv"
     # "slow" gets a quarter of the requests but runs 100 times longer per request
     write_trace_csv(trace, [(0, "slow"), (1, "fast"), (2, "fast"), (3, "fast")])
-    write_profiles_csv(profiles, ["fast,python,10,10,x", "slow,python,10,1000,y"])
+    write_profiles_csv(profiles, ["fast,python,10,x", "slow,python,1000,y"])
     assert partition_workers(profiles, trace, capsys) == {"fast": 3, "slow": 1}
     assert partition_workers(profiles, trace, capsys, "--weight-by-duration") == {"fast": 1, "slow": 3}
 
@@ -239,7 +255,7 @@ def simulate_inputs(tmp_path):
     profiles = tmp_path / "profiles.csv"
     partition = tmp_path / "partition.json"
     write_trace_csv(trace, [(0, "fn"), (5000, "fn")])
-    write_profiles_csv(profiles, ["fn,python,10,63,numpy"])
+    write_profiles_csv(profiles, ["fn,python,63,numpy"])
     main([
         "partition", str(profiles), str(trace),
         "--groups-per-runtime", "1", "--workers", "1",
@@ -283,7 +299,7 @@ def test_simulate_is_byte_reproducible(simulate_inputs, tmp_path):
 def test_simulate_missing_profile_names_function(simulate_inputs, tmp_path, capsys):
     trace, _, partition = simulate_inputs
     sparse = tmp_path / "sparse.csv"
-    write_profiles_csv(sparse, ["other,python,10,63,"])
+    write_profiles_csv(sparse, ["other,python,63,"])
     rc = main(["simulate", str(trace), str(sparse), str(partition)])
     assert rc == 2
     assert "no profile for function 'fn'" in capsys.readouterr().err
@@ -292,7 +308,7 @@ def test_simulate_missing_profile_names_function(simulate_inputs, tmp_path, caps
 def test_failed_simulate_leaves_no_output_files(simulate_inputs, tmp_path):
     trace, profiles, partition = simulate_inputs
     sparse = tmp_path / "sparse.csv"
-    write_profiles_csv(sparse, ["other,python,10,63,"])
+    write_profiles_csv(sparse, ["other,python,63,"])
     per_request = tmp_path / "per_request.csv"
     # an unprofiled function fails the run; an --out in a missing directory fails after it
     for catalog, out in ((sparse, tmp_path / "result.json"), (profiles, tmp_path / "no" / "r.json")):
@@ -353,6 +369,34 @@ def test_every_config_key_is_read_and_changes_the_result(tmp_path):
     baseline = result_of({})
     for key, value in varied.items():
         assert result_of({key: value}) != baseline, key
+
+
+def test_every_profile_field_changes_an_output(tmp_path):
+    assert main(generate_args(tmp_path)) == 0
+    trace, catalog = tmp_path / "trace.csv", tmp_path / "profiles.csv"
+    outputs = [tmp_path / name for name in ("partition.json", "result.json", "per_request.csv")]
+    profiles = load_profiles(catalog)
+
+    def outputs_of(changed):
+        save_profiles(changed, catalog)
+        assert main(["partition", str(catalog), str(trace), "--groups-per-runtime", "2", "--workers", "6",
+                     "--quiet", "--out", str(outputs[0])]) == 0
+        assert main(["simulate", str(trace), str(catalog), str(outputs[0]), "--quiet",
+                     "--out", str(outputs[1]), "--per-request", str(outputs[2])]) == 0
+        return [path.read_bytes() for path in outputs]
+
+    # each changes the most requested function's profile alone
+    varied = {
+        "runtime": "nodejs",
+        "dependencies": frozenset(f"x{i}" for i in range(6)),  # more than any generated set holds
+        "exec_duration_ms": 1000,
+    }
+    # a FunctionProfile field without a row, or a row whose change moves no output, fails here
+    assert set(varied) == {f.name for f in fields(FunctionProfile)} - {"function_id"}
+    baseline = outputs_of(profiles)
+    for name, value in varied.items():
+        changed = [replace(p, **{name: value}) if p.function_id == "f0000" else p for p in profiles]
+        assert outputs_of(changed) != baseline, name
 
 
 def test_simulate_rejects_unknown_config_keys(simulate_inputs, tmp_path, capsys):

@@ -115,7 +115,7 @@ PAPER_SCALE_GENERATE = [
 ]
 GENERATE_DIGESTS = {
     "trace.csv": "e9e921dbd461d5e2d4f03c30a4ace798f9195b2cdb7ae3e008dd2501e0ab4df4",
-    "profiles.csv": "a9394befb1acc2451e93d5a460c8ccc3e8375558da016e66f92506fddc26058f",
+    "profiles.csv": "d22a18a45facb467e9c13db04ac53b9562e42c6bb45a40821eb3c666155dc0ab",
 }
 
 

@@ -45,7 +45,7 @@ MIB = 1024**2
 
 
 def make_profile(fid, deps=(), runtime="python", exec_ms=63):
-    return FunctionProfile(fid, runtime, frozenset(deps), 100, exec_ms)
+    return FunctionProfile(fid, runtime, frozenset(deps), exec_ms)
 
 
 def make_trace(*stamped_ids):

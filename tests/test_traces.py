@@ -144,7 +144,7 @@ def test_every_name_the_writers_accept_reads_back_unchanged(ids, function_ids, r
     buffer = io.StringIO()
     write_trace(trace, buffer)
     assert parse_trace(read_as_a_file(buffer.getvalue())) == trace
-    profiles = [FunctionProfile(f, runtime, deps, 1, 2) for f in sorted(function_ids)]
+    profiles = [FunctionProfile(f, runtime, deps, 2) for f in sorted(function_ids)]
     buffer = io.StringIO()
     write_profiles(profiles, buffer)
     assert parse_profiles(read_as_a_file(buffer.getvalue())) == profiles
@@ -205,16 +205,64 @@ def test_write_trace_matches_the_row_formatter(rows, row_bytes):
     "trace, text",
     [
         (Trace((), ()), ""),
-        (Trace((1, 2**63, 2**64 + 5), ("a", "b", "a")), f"1,a\n{2**63},b\n{2**64 + 5},a\n"),  # an object column
         (trace_of("a", "b" * 254), "0,a\n1," + "b" * 254 + "\n"),  # a 257-byte row
     ],
-    ids=["empty", "past-int64", "wide-row"],
+    ids=["empty", "wide-row"],
 )
 def test_the_row_formatter_writes_what_the_matrix_path_cannot(trace, text):
     buffer = io.StringIO()
     with mock.patch.object(traces, "_matrix_rows", side_effect=AssertionError("matrix path")):
         write_trace(trace, buffer)
     assert buffer.getvalue() == formatted_text(trace) == TRACE_HEADER + "\n" + text
+
+
+MAX_STAMP = 2**63 - 1  # the int64 column's largest value
+
+
+def test_the_largest_int64_stamp_parses_and_round_trips():
+    text = f"{TRACE_HEADER}\n0,a\n{MAX_STAMP},b\n"
+    # 19 digits are past the canonical block's 18, so the row loop parses them
+    with mock.patch.object(traces, "_parse_rows", wraps=traces._parse_rows) as row_loop:
+        trace = parse_trace(io.StringIO(text))
+    assert row_loop.called
+    assert trace.timestamps_ms == (0, MAX_STAMP) and trace.stamps.dtype == np.int64
+    buffer = io.StringIO()
+    with mock.patch.object(traces, "_format_rows", side_effect=AssertionError("row formatter")):
+        write_trace(trace, buffer)
+    assert buffer.getvalue() == text
+
+
+def test_a_stamp_past_int64_is_refused():
+    with pytest.raises(TraceParseError, match=f"^line 3: timestamp_ms must be <= {MAX_STAMP}$"):
+        parse_trace(io.StringIO(f"{TRACE_HEADER}\n0,a\n{2**63},b\n"))
+    with pytest.raises(ValueError, match=f"timestamp_ms must be <= {MAX_STAMP}"):
+        Trace((0, 2**63), ("a", "b"))
+    # stamps are drawn below duration_ms, so 2**63 is the longest window
+    assert SyntheticTraceSpec(1, 1, 1.0, 2**63, seed=0).duration_ms == 2**63
+    with pytest.raises(ValueError, match=f"duration_ms must be in 1..{2**63}"):
+        SyntheticTraceSpec(1, 1, 1.0, 2**63 + 1, seed=0)
+
+
+@given(st.lists(st.tuples(st.integers(0, 20), TRACE_IDS), max_size=30))
+@example([(0, "b"), (1, "a")])  # first seen is not first sorted
+@example([(5, "a"), (0, "b"), (5, "c"), (0, "a")])  # the sort moves the first-seen id
+def test_a_trace_has_one_form(rows):
+    ordered = sorted(rows, key=lambda row: row[0])  # stable, as the parse sorts
+    built = Trace([ts for ts, _ in ordered], [fid for _, fid in ordered])
+    body = "".join(f"{ts},{fid}\n" for ts, fid in rows)  # in file order
+    numpy_parsed = parse_trace(io.StringIO(TRACE_HEADER + "\n" + body))
+    row_parsed = parse_trace(io.StringIO(TRACE_HEADER + "\n" + body.replace("\n", "\r\n")))  # a CR forces the row loop
+    for trace in (built, numpy_parsed, row_parsed):
+        assert trace.names == tuple(sorted({fid for _, fid in rows}))
+        assert np.array_equal(trace.stamps, built.stamps)
+        assert np.array_equal(trace.codes, built.codes)
+
+
+@pytest.mark.parametrize("functions", [1, 10, 10_000, 10_001])  # 10,001 names are one digit wider
+def test_generated_names_are_sorted(functions):
+    trace = generate_synthetic(SyntheticTraceSpec(functions, 20_000, 0.5, 1_000, seed=1))
+    assert trace.names == tuple(sorted(set(trace.function_ids)))
+    assert np.array_equal(trace.codes, Trace(trace.timestamps_ms, trace.function_ids).codes)
 
 
 def test_parse_keeps_no_per_row_objects():
@@ -575,18 +623,18 @@ def test_profiles_csv_roundtrip():
 
 
 def test_parse_profiles_rejects_duplicates_and_bad_rows():
-    header = "function_id,runtime,code_size_kb,exec_duration_ms,dependencies\n"
+    header = "function_id,runtime,exec_duration_ms,dependencies\n"
     with pytest.raises(TraceParseError, match="duplicate"):
-        parse_profiles(io.StringIO(header + "a,python,1,1,\na,python,1,1,\n"))
+        parse_profiles(io.StringIO(header + "a,python,1,\na,python,1,\n"))
     with pytest.raises(TraceParseError, match="line 2"):
-        parse_profiles(io.StringIO(header + "a,python,x,1,\n"))
-    with pytest.raises(TraceParseError, match="5 columns"):
-        parse_profiles(io.StringIO(header + "a,python,1,1\n"))
+        parse_profiles(io.StringIO(header + "a,python,x,\n"))
+    with pytest.raises(TraceParseError, match="4 columns"):
+        parse_profiles(io.StringIO(header + "a,python,1\n"))
 
 
 def test_parse_profiles_empty_deps_column():
-    header = "function_id,runtime,code_size_kb,exec_duration_ms,dependencies\n"
-    profiles = parse_profiles(io.StringIO(header + "a,python,10,20,\nb,nodejs,1,2,x;y\n"))
+    header = "function_id,runtime,exec_duration_ms,dependencies\n"
+    profiles = parse_profiles(io.StringIO(header + "a,python,20,\nb,nodejs,2,x;y\n"))
     assert profiles[0].dependencies == frozenset()
     assert profiles[1].dependencies == frozenset({"x", "y"})
     assert profiles[1].runtime == "nodejs"
@@ -594,9 +642,9 @@ def test_parse_profiles_empty_deps_column():
 
 @pytest.mark.parametrize("deps_text", ["numpy;", ";numpy", "a;;b", ";"])
 def test_parse_profiles_rejects_empty_dependency_names(deps_text):
-    header = "function_id,runtime,code_size_kb,exec_duration_ms,dependencies\n"
+    header = "function_id,runtime,exec_duration_ms,dependencies\n"
     with pytest.raises(TraceParseError, match="line 3: dependency names must be non-empty"):
-        parse_profiles(io.StringIO(header + "a,python,1,1,x\n" + f"b,python,1,1,{deps_text}\n"))
+        parse_profiles(io.StringIO(header + "a,python,1,x\n" + f"b,python,1,{deps_text}\n"))
 
 
 @pytest.mark.parametrize("deps", [{""}, {"", "x"}])
