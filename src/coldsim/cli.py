@@ -36,6 +36,7 @@ from .traces import (
     DEFAULT_THRESHOLD_TARGETS,
     SyntheticTraceSpec,
     check_exponent,
+    check_profile_name,
     check_target,
     function_name,
     generate_synthetic,
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deps-min", type=int, default=1)
     p.add_argument("--deps-max", type=int, default=5)
     p.add_argument("--package-zipf", type=exponent, default=1.0)
-    p.add_argument("--runtime", default="python")
+    p.add_argument("--runtime", default="python", type=_flag_type(check_profile_name))
     p.add_argument("--seed", type=int, default=0, help="seed for the trace and the catalog")
     p.set_defaults(func=cmd_generate, reads=(), writes=("--out", "--profiles-out"))
 

@@ -16,11 +16,11 @@ with no Python statement per row; any other block is parsed row by row, and
 that loop alone defines which rows are valid and what each error says.
 
 The trace writer is the parse's mirror. An int64 trace is formatted by
-numpy passes, a bounded piece of rows at a time: each stamp's digits by
-multiply-shift steps, each id's bytes from a table with one row per
-distinct id. The row formatter, one f-string per row, defines the text and
-writes what that path does not take: the empty trace and rows wider than
-``_WIDEST_ROW`` bytes.
+numpy passes, a bounded piece of rows at a time: each stamp's digits four
+at a time from a table of the 10,000 four-digit ASCII words, each id's
+bytes from a table with one row per distinct id. The row formatter, one
+f-string per row, defines the text and writes what that path does not
+take: the empty trace and rows wider than ``_WIDEST_ROW`` bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import io
 import json
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import chain, repeat
@@ -51,6 +52,8 @@ _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 _EIGHT_DIGIT_PLACES = np.array([1, 10**8, 10**16], dtype=np.int64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so the multiply is invertible
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # a stamp has one digit more than it reaches
+# each value below 10**4 as four ASCII digits, the leading digit in the lowest byte
+_QUADS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8).view("<u4").ravel()
 _ROW_BYTES = 1 << 18  # bytes of row matrix the trace writer formats at a time
 _WIDEST_ROW = 255  # bytes; the trace writer's column arithmetic is uint8
 
@@ -388,6 +391,12 @@ def _check_identifier(name: str, forbidden: str) -> None:
         raise ValueError(f"identifier not representable in CSV: {name!r}")
 
 
+def check_profile_name(name: str) -> str:
+    """``name`` itself when the profile CSV can hold it as an id, runtime or dependency; a ValueError otherwise."""
+    _check_identifier(name, _ROW_SEPARATORS + ";")  # ";" separates dependencies
+    return name
+
+
 def _trace_text(trace: Trace) -> Iterator[str]:
     """Check every id, then return the trace's CSV text in pieces of whole rows."""
     for function_id in trace.names:  # each distinct id once, in sorted order
@@ -439,27 +448,12 @@ def _matrix_rows(trace: Trace, suffixes: list[bytes], digits: int, width: int) -
 
 def _ascii_digits(values: np.ndarray, width: int) -> np.ndarray:
     """Each non-negative value as ``width`` ASCII digits with leading zeros, one row per value."""
-    words = []
-    for _ in range(-(-width // 8)):  # eight digits at a time, from the right
-        high = values // 10**8
-        words.append(_digit_word((values - high * 10**8).astype(np.uint64)))
-        values = high
-    text = np.stack(words[::-1], axis=1).astype("<u8", copy=False).view(np.uint8)
+    quads = []
+    for _ in range(-(-width // 4)):  # four digits at a time, from the right
+        values, low = np.divmod(values, 10_000)
+        quads.append(_QUADS[low])
+    text = np.stack(quads[::-1], axis=1).view(np.uint8)
     return text[:, text.shape[1] - width:]
-
-
-def _digit_word(value: np.ndarray) -> np.ndarray:
-    """Each value below 10**8 as eight ASCII digits in a little-endian uint64,
-    the leading digit in its lowest byte: the inverse of ``_eight_digits``.
-    The value is split into halves, quads of two digits, then digits, each
-    lane's quotient taken by a multiply and a shift."""
-    high = value * np.uint64(0xD1B71759) >> np.uint64(45)  # value // 10**4
-    word = high | (value - high * np.uint64(10**4)) << np.uint64(32)
-    high = (word * np.uint64(5243) >> np.uint64(19)) & np.uint64(0x0000007F0000007F)  # each lane // 100
-    word = high | (word - high * np.uint64(100)) << np.uint64(16)
-    high = (word * np.uint64(103) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)  # each lane // 10
-    word = high | (word - high * np.uint64(10)) << np.uint64(8)
-    return word | _ZEROS
 
 
 def write_trace(trace: Trace, stream: IO[str]) -> None:
@@ -531,29 +525,25 @@ def check_target(target: float) -> float:
 def popularity_cdf(trace: Trace, targets: Sequence[float] = DEFAULT_THRESHOLD_TARGETS) -> SkewSummary:
     """Rank functions by descending request count and accumulate the CDF.
 
-    Ties in request count are broken by function_id ascending. Threshold
-    comparisons are exact (no float accumulation error at the boundary).
+    The CDF is that of the sorted counts, so the order of functions tied in
+    count changes nothing. Threshold comparisons are exact (no float
+    accumulation error at the boundary).
     """
     if not len(trace):
         raise ValueError("empty trace")
     for t in targets:
         check_target(t)
-    counts = request_counts(trace)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    total = len(trace)
-    n = len(ranked)
-    # (target, num, den) of the target's decimal rendering, which is what the caller meant, not
-    # the nearest binary double (0.8 as a double exceeds 4/5)
-    pending = [(t, *Decimal(str(t)).as_integer_ratio()) for t in sorted(set(targets))]
-    points: list[tuple[float, float]] = []
+    counts = np.bincount(trace.codes)
+    cum = np.cumsum(np.sort(counts)[::-1])
+    total, n = len(trace), len(counts)
+    points = zip((np.arange(1, n + 1) / n).tolist(), (cum / total).tolist())
+    cum = cum.tolist()
     thresholds: dict[float, float] = {}
-    cum = 0
-    for i, (_, count) in enumerate(ranked):
-        cum += count
-        f_frac = (i + 1) / n
-        points.append((f_frac, cum / total))
-        while pending and cum * pending[0][2] >= pending[0][1] * total:
-            thresholds[pending.pop(0)[0]] = f_frac
+    for t in targets:
+        # the target's decimal rendering is what the caller meant, not the nearest binary double
+        # (0.8 as a double exceeds 4/5); the threshold is the first rank whose cum * den >= num * total
+        num, den = Decimal(str(t)).as_integer_ratio()
+        thresholds[t] = (bisect_left(cum, -(-num * total // den)) + 1) / n
     return SkewSummary(tuple(points), thresholds)
 
 
@@ -693,7 +683,7 @@ def _profile_lines(profiles: Sequence[FunctionProfile]) -> list[str]:
     """The catalog's CSV lines; a name its reader would split or alter raises ValueError."""
     names = dict.fromkeys(chain.from_iterable((p.function_id, p.runtime, *p.dependencies) for p in profiles))
     for name in names:  # each distinct name once, in profile order
-        _check_identifier(name, _ROW_SEPARATORS + ";")  # ";" separates dependencies
+        check_profile_name(name)
     lines = [PROFILE_HEADER + "\n"]
     for p in profiles:
         deps = ";".join(sorted(p.dependencies))

@@ -2,13 +2,15 @@
 
 These are deliberately naive reimplementations (list-scan LRU, exhaustive
 set-partition search, row-by-row trace parse, a whole-run simulator built
-from list-scan parts) kept separate from the code under test.
+from list-scan parts, a popularity CDF in exact fractions) kept separate
+from the code under test.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -424,3 +426,24 @@ def reference_parse_trace(stream) -> Trace:
         ids.append(intern(function_id, function_id))
     order = sorted(range(len(stamps)), key=stamps.__getitem__)
     return Trace(tuple(map(stamps.__getitem__, order)), tuple(map(ids.__getitem__, order)))
+
+
+def reference_popularity_cdf(function_ids, targets) -> tuple[list[tuple[float, float]], dict[float, float]]:
+    """CDF points and coverage thresholds of a list of ids, by brute force.
+
+    Functions rank by (-count, id). Point ``i`` is ``((i + 1) / n, share)``
+    after the ``i + 1`` top functions. A target ``t`` means the exact
+    fraction its decimal text names, and its threshold is the first point
+    whose exact request share reaches it.
+    """
+    ranked = sorted(Counter(function_ids).items(), key=lambda item: (-item[1], item[0]))
+    n, total = len(ranked), len(function_ids)
+    points, shares, covered = [], [], 0
+    for i, (_, count) in enumerate(ranked):
+        covered += count
+        points.append(((i + 1) / n, covered / total))
+        shares.append(Fraction(covered, total))
+    thresholds = {}
+    for t in targets:
+        thresholds[t] = min((i + 1) / n for i, share in enumerate(shares) if share >= Fraction(str(t)))
+    return points, thresholds

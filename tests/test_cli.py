@@ -155,6 +155,18 @@ def test_generate_with_too_few_drawable_packages_exits_2(tmp_path):
     assert "too few packages have non-zero popularity at this package Zipf exponent" in proc.stderr
 
 
+@pytest.mark.parametrize("runtime", ["py,thon", "py;thon", "py\rthon"])
+def test_generate_refuses_a_runtime_the_catalog_cannot_hold_before_writing(runtime, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"timestamp_ms,function_id\n1,old\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(generate_args(tmp_path) + ["--runtime", runtime])
+    assert exit_info.value.code == 2
+    assert f"argument --runtime: identifier not representable in CSV: {runtime!r}" in capsys.readouterr().err
+    assert trace.read_bytes() == b"timestamp_ms,function_id\n1,old\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["trace.csv"]
+
+
 def test_generate_requires_out(tmp_path, capsys):
     args = generate_args(tmp_path)
     del args[args.index("--out") : args.index("--out") + 2]

@@ -30,7 +30,7 @@ from coldsim.traces import (
     zipf_mass,
 )
 
-from reference import reference_parse_trace
+from reference import reference_parse_trace, reference_popularity_cdf
 
 
 def trace_of(*function_ids: str) -> Trace:
@@ -172,7 +172,7 @@ def test_request_counts_match_a_counter_over_the_ids(ids, functions, requests, s
         assert sorted(trace.names) == sorted(set(trace.function_ids))
 
 
-EDGE_STAMPS = (0, 9, 10, 10**8 - 1, 10**8, 10**16, 2**63 - 1)
+EDGE_STAMPS = (0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12 - 1, 10**16, 2**63 - 1)
 
 
 def formatted_text(trace: Trace) -> str:
@@ -523,6 +523,22 @@ def test_popularity_cdf_shape(ids):
     assert f_fracs == sorted(f_fracs)
     assert r_fracs == sorted(r_fracs)
     assert summary.thresholds[0.8] >= summary.thresholds[0.5]
+
+
+BOUNDARY_TARGETS = (0.1, 0.25, 0.5, 0.75, 0.8, 1.0)  # shares a short trace can hit exactly
+
+
+@given(
+    st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=80),
+    st.lists(st.one_of(st.sampled_from(BOUNDARY_TARGETS), st.floats(0, 1, exclude_min=True)), max_size=8),
+)
+@example(list("AABBCCDD"), [1.0, 0.25, 0.5, 0.25, 0.75])  # every count tied; unsorted, repeated, exact targets
+@example(list("AAAAB"), [0.8, 0.8000000000000002, 0.7999999999999999])  # 4/5 exactly, and its neighbours
+def test_popularity_cdf_matches_brute_force_reference(ids, targets):
+    summary = popularity_cdf(trace_of(*ids), targets)
+    points, thresholds = reference_popularity_cdf(ids, targets)
+    assert summary.cdf_points == tuple(points)
+    assert summary.thresholds == thresholds
 
 
 def test_higher_zipf_exponent_never_raises_coverage_threshold():
