@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields
 
 from . import __version__
@@ -44,9 +45,9 @@ from .traces import (
     load_trace,
     popularity_cdf,
     request_counts,
-    save_profiles,
-    save_trace,
     synthesize_profiles,
+    write_profiles,
+    write_trace,
 )
 
 _SIZE_RE = re.compile(r"^\s*(\d+)\s*(B|KIB|MIB|GIB|TIB)?\s*$", re.IGNORECASE)
@@ -88,9 +89,19 @@ def _digest(command: str, parameters: dict, inputs: list[str]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(content)
+@contextmanager
+def _output_files(paths: list[str]):
+    """Each path opened for writing; a block that fails keeps none of them: each file opened is removed."""
+    handles = []
+    try:
+        with ExitStack() as stack:
+            for path in paths:
+                handles.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="\n")))
+            yield handles
+    except BaseException:
+        for path in paths[:len(handles)]:  # only those opened, and so replaced, by this command
+            os.remove(path)
+        raise
 
 
 def _check_paths(args) -> None:
@@ -116,7 +127,8 @@ def _finish(args, command: str, parameters: dict, inputs: list[str], outputs: li
                     "input_paths": inputs, "output_paths": outputs, "tool_version": __version__}
         if getattr(args, "seed", None) is not None:  # only generate draws random numbers
             manifest["seed"] = args.seed
-        _write_text(outputs[0] + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        with _output_files([outputs[0] + ".manifest.json"]) as (handle,):
+            handle.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         if not args.quiet:
             for path in outputs:
                 print(f"wrote {path}", file=sys.stderr)
@@ -126,7 +138,8 @@ def _finish(args, command: str, parameters: dict, inputs: list[str], outputs: li
 def _emit(args, text: str) -> list[str]:
     """Primary payload to --out or stdout; returns file outputs for the manifest."""
     if args.out:
-        _write_text(args.out, text)
+        with _output_files([args.out]) as (handle,):
+            handle.write(text)
         return [args.out]
     sys.stdout.write(text)
     return []
@@ -159,8 +172,6 @@ def cmd_generate(args) -> int:
         seed=args.seed,
         runtime=args.runtime,
     )
-    save_trace(trace, args.out)
-    save_profiles(profiles, args.profiles_out)
     parameters = {
         "functions": args.functions,
         "requests": args.requests,
@@ -173,6 +184,9 @@ def cmd_generate(args) -> int:
         "runtime": args.runtime,
         "seed": args.seed,
     }
+    with _output_files([args.out, args.profiles_out]) as (trace_file, profiles_file):
+        write_trace(trace, trace_file)
+        write_profiles(profiles, profiles_file)
     return _finish(args, "generate", parameters, [], [args.out, args.profiles_out])
 
 
@@ -286,15 +300,10 @@ def cmd_simulate(args) -> int:
         inputs.append(args.config)
     config = _build_sim_config(partition, payload)
     if args.per_request:
-        handle = open(args.per_request, "w", encoding="utf-8", newline="\n")
-        try:
-            # rows are written during the run; a command that fails keeps none of them
-            with handle:
-                result = run(trace, profiles, config, write_per_request_csv(handle))
+        # rows are written during the run; a command that fails keeps none of them
+        with _output_files([args.per_request]) as (handle,):
+            result = run(trace, profiles, config, write_per_request_csv(handle))
             outputs = _emit(args, result.to_json() + "\n") + [args.per_request]
-        except BaseException:
-            os.remove(args.per_request)
-            raise
     else:
         outputs = _emit(args, run(trace, profiles, config).to_json() + "\n")
     return _finish(args, "simulate", {"config": payload}, inputs, outputs)

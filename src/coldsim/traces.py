@@ -15,12 +15,10 @@ pure and a ``Trace`` is immutable after construction.
 with no Python statement per row; any other block is parsed row by row, and
 that loop alone defines which rows are valid and what each error says.
 
-The trace writer is the parse's mirror. An int64 trace is formatted by
+The trace writer is the parse's mirror. A trace is formatted by
 numpy passes, a bounded piece of rows at a time: each stamp's digits four
 at a time from a table of the 10,000 four-digit ASCII words, each id's
-bytes from a table with one row per distinct id. The row formatter, one
-f-string per row, defines the text and writes what that path does not
-take: the empty trace and rows wider than ``_WIDEST_ROW`` bytes.
+bytes from a table with one row per distinct id.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # a stamp has one digit
 # each value below 10**4 as four ASCII digits, the leading digit in the lowest byte
 _QUADS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8).view("<u4").ravel()
 _ROW_BYTES = 1 << 18  # bytes of row matrix the trace writer formats at a time
-_WIDEST_ROW = 255  # bytes; the trace writer's column arithmetic is uint8
 
 
 class TraceParseError(ValueError):
@@ -386,8 +383,8 @@ _ROW_SEPARATORS = ",\n\r"  # a reader splits a row at each; it drops a trailing 
 
 
 def _check_identifier(name: str, forbidden: str) -> None:
-    """Refuse a name that its CSV reader would split or alter: ``forbidden`` holds its separators."""
-    if any(char in name for char in forbidden):
+    """Refuse an empty name, or one that its CSV reader would split or alter: ``forbidden`` holds its separators."""
+    if not name or any(char in name for char in forbidden):
         raise ValueError(f"identifier not representable in CSV: {name!r}")
 
 
@@ -401,46 +398,36 @@ def _trace_text(trace: Trace) -> Iterator[str]:
     """Check every id, then return the trace's CSV text in pieces of whole rows."""
     for function_id in trace.names:  # each distinct id once, in sorted order
         _check_identifier(function_id, _ROW_SEPARATORS)
-    header = [TRACE_HEADER + "\n"]
-    if len(trace):
-        suffixes = [f",{name}\n".encode("utf-8", "surrogatepass") for name in trace.names]
-        digits = len(str(trace.stamps[-1]))  # the stamps are sorted: the last is the widest
-        width = digits + max(map(len, suffixes))
-        if width <= _WIDEST_ROW:
-            return chain(header, _matrix_rows(trace, suffixes, digits, width))
-    return chain(header, _format_rows(trace))
+    return chain([TRACE_HEADER + "\n"], _matrix_rows(trace))
 
 
-def _format_rows(trace: Trace) -> Iterator[str]:
-    """The trace's rows, one f-string each: the definition of the trace
-    text, which ``_matrix_rows`` reproduces."""
-    names = trace.names
-    return (f"{ts},{names[code]}\n" for ts, code in trace.rows())
+def _matrix_rows(trace: Trace) -> Iterator[str]:
+    """The trace's rows, ``f"{stamp},{id}\n"`` each, by numpy passes.
 
-
-def _matrix_rows(trace: Trace, suffixes: list[bytes], digits: int, width: int) -> Iterator[str]:
-    """The trace's rows, as ``_format_rows`` writes them, by numpy passes.
-
-    ``suffixes[c]`` is the UTF-8 of ``",<names[c]>\n"``, ``digits`` the
-    widest stamp's digit count and ``width`` that plus the longest suffix.
     A piece is a matrix of ``width``-byte rows, ``[stamp as digits with
-    leading zeros | suffix | zero padding]``, from which a keep-mask of each
-    row's columns drops the leading zeros and the padding. The mask is built
-    from lengths, as an id may hold NUL. A piece holds at most
-    ``_ROW_BYTES`` of matrix, so a long id makes pieces short, not wide.
+    leading zeros | ",<id>\n" in UTF-8 | zero padding]``, from which a
+    keep-mask of each row's columns, built from lengths as an id may hold
+    NUL, drops the leading zeros and the padding. A piece holds at most
+    ``_ROW_BYTES`` of matrix or one row, so a long id makes pieces short.
     """
+    if not len(trace):
+        return
+    suffixes = [f",{name}\n".encode("utf-8", "surrogatepass") for name in trace.names]
+    digits = len(str(trace.stamps[-1]))  # the stamps are sorted: the last is the widest
+    width = digits + max(map(len, suffixes))
     table = np.frombuffer(
         b"".join([bytes(digits) + suffix.ljust(width - digits, b"\0") for suffix in suffixes]), dtype=np.uint8
     ).reshape(len(suffixes), width)
-    ends = np.array([digits + len(suffix) for suffix in suffixes], dtype=np.uint8)
-    columns = np.arange(width, dtype=np.uint8)
-    rows = _ROW_BYTES // width
+    column_type = np.min_scalar_type(width)  # uint8 for any row of up to 255 bytes
+    ends = np.array([digits + len(suffix) for suffix in suffixes], dtype=column_type)
+    columns = np.arange(width, dtype=column_type)
+    rows = max(1, _ROW_BYTES // width)
     for start in range(0, len(trace), rows):
         stamps = trace.stamps[start:start + rows]
         codes = trace.codes[start:start + rows]
         matrix = table[codes]
         matrix[:, :digits] = _ascii_digits(stamps, digits)
-        first = (digits - 1 - np.searchsorted(_POWERS_OF_TEN, stamps, side="right")).astype(np.uint8)
+        first = (digits - 1 - np.searchsorted(_POWERS_OF_TEN, stamps, side="right")).astype(column_type)
         # first <= column < end, as one unsigned compare: columns before ``first`` wrap past ``width``
         keep = columns - first[:, None] < (ends[codes] - first)[:, None]
         yield matrix[keep].tobytes().decode("utf-8", "surrogatepass")

@@ -428,6 +428,13 @@ def reference_parse_trace(stream) -> Trace:
     return Trace(tuple(map(stamps.__getitem__, order)), tuple(map(ids.__getitem__, order)))
 
 
+def reference_trace_text(trace: Trace) -> str:
+    """A trace's CSV text, one f-string per row: the definition that the
+    trace writer reproduces."""
+    rows = zip(trace.timestamps_ms, trace.function_ids)
+    return TRACE_HEADER + "\n" + "".join(f"{ts},{function_id}\n" for ts, function_id in rows)
+
+
 def reference_popularity_cdf(function_ids, targets) -> tuple[list[tuple[float, float]], dict[float, float]]:
     """CDF points and coverage thresholds of a list of ids, by brute force.
 

@@ -155,7 +155,7 @@ def test_generate_with_too_few_drawable_packages_exits_2(tmp_path):
     assert "too few packages have non-zero popularity at this package Zipf exponent" in proc.stderr
 
 
-@pytest.mark.parametrize("runtime", ["py,thon", "py;thon", "py\rthon"])
+@pytest.mark.parametrize("runtime", ["py,thon", "py;thon", "py\rthon", ""])
 def test_generate_refuses_a_runtime_the_catalog_cannot_hold_before_writing(runtime, tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_bytes(b"timestamp_ms,function_id\n1,old\n")
@@ -165,6 +165,14 @@ def test_generate_refuses_a_runtime_the_catalog_cannot_hold_before_writing(runti
     assert f"argument --runtime: identifier not representable in CSV: {runtime!r}" in capsys.readouterr().err
     assert trace.read_bytes() == b"timestamp_ms,function_id\n1,old\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["trace.csv"]
+
+
+def test_failed_generate_leaves_no_output_files(tmp_path, capsys):
+    args = generate_args(tmp_path)
+    args[args.index("--profiles-out") + 1] = str(tmp_path / "no" / "profiles.csv")
+    assert main(args) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_requires_out(tmp_path, capsys):
