@@ -152,9 +152,32 @@ def cmd_analyze(args) -> int:
     return _finish(args, "analyze", {"targets": args.targets}, [args.trace], outputs)
 
 
+def _check_generate_flags(args) -> None:
+    """Refuse, naming the flag, a value the generator would refuse; the library keeps its own checks.
+
+    A ``--duration`` past the largest window is refused by ``SyntheticTraceSpec``, whose message gives that bound.
+    """
+    for flag, name, value, least in (
+        ("--functions", "num_functions", args.functions, 1),
+        ("--requests", "num_requests", args.requests, 1),
+        ("--duration", "duration_ms", args.duration, 1),
+        ("--catalog-size", "catalog_size", args.catalog_size, 1),
+        ("--seed", "seed", args.seed, 0),
+    ):
+        if value < least:
+            raise ValueError(f"{flag}: {name} must be >= {least}, not {value}")
+    if not 0 <= args.deps_min <= args.deps_max:
+        raise ValueError(
+            f"--deps-min and --deps-max must satisfy 0 <= min <= max, not {args.deps_min} and {args.deps_max}"
+        )
+    if args.deps_max > args.catalog_size:
+        raise ValueError(f"--deps-max {args.deps_max} exceeds --catalog-size {args.catalog_size}")
+
+
 def cmd_generate(args) -> int:
     if not args.out:
         raise ValueError("generate requires --out for the trace CSV")
+    _check_generate_flags(args)
     spec = SyntheticTraceSpec(
         num_functions=args.functions,
         num_requests=args.requests,

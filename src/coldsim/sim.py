@@ -273,6 +273,9 @@ def run(
 ) -> SimResult:
     """Simulate the full trace, passing each outcome to ``sink``; see the module docstring."""
     catalog = index_profiles(profiles)
+    unprofiled = sorted(config.footprint_overrides.keys() - catalog.keys())
+    if unprofiled:
+        raise ValueError(f"footprint_overrides names {unprofiled[0]!r}, a function with no profile")
     group_of = config.partition.function_to_group()
     for fid in trace.names:
         if fid not in catalog:

@@ -1,14 +1,20 @@
 """Workload traces: normalized CSV ingestion, synthetic generation, and
 popularity-skew analysis.
 
-The ingestion boundary is a normalized CSV (``timestamp_ms,function_id``);
-converting platform-native trace archives into this format is left to
-external tooling. A ``Trace`` holds that CSV's rows as numpy columns: an
-int64 timestamp array, an int32 array of id codes, and the sorted distinct
-function ids that the codes index. A trace has this one form, so equal
-traces have equal columns. It keeps no object per row; consumers count
-codes, or walk the rows a bounded chunk at a time. All operations here are
-pure and a ``Trace`` is immutable after construction.
+The ingestion boundary is a normalized CSV (``timestamp_ms,function_id``)
+read from a seekable stream; converting platform-native trace archives
+into this format is left to external tooling. A ``Trace`` holds that CSV's
+rows as numpy columns: an int64 timestamp array, an int32 array of id
+codes, and the sorted distinct function ids that the codes index. A trace
+has this one form, so equal traces have equal columns. It keeps no object
+per row; consumers count codes, or walk the rows a bounded chunk at a
+time. All operations here are pure and a ``Trace`` is immutable after
+construction.
+
+Each column is held once: ``parse_trace`` counts the rows in a first
+read, then writes each block of the second read straight into
+preallocated columns, and ``generate_synthetic`` drops its ranks before it
+draws the stamps, which it sorts in place.
 
 ``parse_trace`` reads the CSV in blocks of text. A block of canonical rows
 (plain digits, one comma, an id) is parsed by numpy passes over its bytes,
@@ -42,7 +48,7 @@ DEFAULT_THRESHOLD_TARGETS = (0.5, 0.8)
 
 MAX_TIMESTAMP_MS = (1 << 63) - 1  # the largest value of the int64 timestamp column
 BLOCK = 1 << 19  # characters of trace text parsed per block
-ROW_CHUNK = 1 << 12  # rows converted to Python objects at a time when a trace is walked
+ROW_CHUNK = 1 << 12  # rows a trace is walked, or its parsed codes remapped, at a time
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # keep n low bytes
 _ZEROS = np.uint64(0x3030303030303030)  # eight ASCII '0'
 _SIXES = np.uint64(0x0606060606060606)
@@ -148,7 +154,7 @@ def _walk(column: np.ndarray) -> Iterator[int]:
     return chain.from_iterable(column[start:start + ROW_CHUNK].tolist() for start in range(0, len(column), ROW_CHUNK))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionProfile:
     """Static per-function metadata: runtime tag, dependency set, execution time."""
 
@@ -224,44 +230,72 @@ def parse_trace(stream: IO[str]) -> Trace:
     `` 12``, ``1_000``, a CRLF ending) still parse. Only the rows are kept;
     callers that need the source keep its path.
 
-    Raises TraceParseError naming the offending line for malformed rows.
-    A header-only input yields a valid empty Trace.
+    Each column is held once: the rows are counted in a first read of the
+    text, the stream is sought back, and the second read writes each block
+    into preallocated int64 and int32 columns, whose id codes are then
+    remapped to name order in place. So the stream must be seekable, as a
+    file or a ``StringIO`` is; a pipe is refused. A sorted input is never
+    copied; an unsorted one is sorted by a stable argsort, which copies
+    both columns.
+
+    Raises TraceParseError naming the offending line for malformed rows, for
+    a stream that is not seekable, and for one whose second read yields a
+    different number of rows. A header-only input yields a valid empty Trace.
     """
+    if not stream.seekable():
+        raise TraceParseError("the trace input must be seekable: its rows are counted before they are parsed")
     header = stream.readline()
     if not header:
         raise TraceParseError("line 1: missing header")
     if header.strip() != TRACE_HEADER:
         raise TraceParseError(f"line 1: expected header {TRACE_HEADER!r}")
+    rows = _count_rows(stream)
+    stamps = np.empty(rows, dtype=np.int64)
+    id_codes = np.empty(rows, dtype=np.int32)  # first-seen codes until remapped to name order
     codes: dict[str, int] = {}  # keys are the one string object per distinct id
     known: dict[bytes, int] = {}  # an id's UTF-8 bytes -> its code
-    stamp_blocks: list[np.ndarray] = []
-    code_blocks: list[np.ndarray] = []
-    lineno = 2
+    n = 0
+    ordered = True  # whether the rows written so far are sorted by timestamp
     while block := stream.read(BLOCK):
         block += stream.readline()  # finish the block's last row
         parsed = _parse_canonical_block(block, codes, known)
         if parsed is None:
-            stamps, ids = _parse_rows(io.StringIO(block), lineno, codes)
-            parsed = np.array(stamps, dtype=np.int64), np.array(ids, dtype=np.int32)
-        stamp_blocks.append(parsed[0])
-        code_blocks.append(parsed[1])
-        lineno += len(parsed[0])
-    if not stamp_blocks:
-        return Trace((), ())
-    stamps = np.concatenate(stamp_blocks)
-    del stamp_blocks
-    rows = np.concatenate(code_blocks)
-    del code_blocks
-    if (stamps[1:] < stamps[:-1]).any():
-        order = np.argsort(stamps, kind="stable")  # stable: ties keep file order
-        stamps, rows = stamps[order], rows[order]
-        del order
+            parsed = _parse_rows(io.StringIO(block), n + 2, codes)
+        m = len(parsed[0])
+        if n + m > rows:
+            break  # more rows than were counted; nothing is written past the end
+        stamps[n:n + m], id_codes[n:n + m] = parsed
+        written = stamps[max(n - 1, 0):n + m]  # the block's stamps and the one before them
+        ordered = ordered and not (written[1:] < written[:-1]).any()
+        n += m
+    if block or n != rows:  # a block left unwritten, or fewer rows than counted
+        raise TraceParseError("the trace input changed while it was read: its row count differs between two reads")
     names = tuple(sorted(codes))
     rank = np.empty(len(names), dtype=np.int32)  # first-seen code -> code in ``names``
     rank[[codes[name] for name in names]] = np.arange(len(names))
+    for start in range(0, rows, ROW_CHUNK):  # in place: a whole-column index would copy the codes as intp
+        piece = id_codes[start:start + ROW_CHUNK]
+        piece[:] = rank[piece]
+    if not ordered:
+        order = np.argsort(stamps, kind="stable")  # stable: ties keep file order
+        stamps, id_codes = stamps[order], id_codes[order]
+        del order
     # every row was checked as it was parsed, the rows are now sorted, and
     # ``names`` holds exactly the ids they name
-    return Trace._from_valid_columns(stamps, rank[rows], names)
+    return Trace._from_valid_columns(stamps, id_codes, names)
+
+
+def _count_rows(stream: IO[str]) -> int:
+    """The rows from the stream's position to its end, split at ``\\n`` as the
+    parse splits them; the stream is left at the position it had."""
+    start = stream.tell()
+    rows = 0
+    ends_row = True  # whether the text read so far ends at a row boundary
+    while block := stream.read(BLOCK):
+        rows += block.count("\n")
+        ends_row = block.endswith("\n")
+    stream.seek(start)
+    return rows + (not ends_row)
 
 
 def _parse_rows(lines: Iterable[str], lineno: int, codes: dict[str, int]) -> tuple[list[int], list[int]]:
@@ -480,6 +514,8 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> Trace:
 
     Function ranks are drawn by inverse CDF over the normalized Zipf mass
     table; arrival timestamps are uniform over [0, duration_ms) and sorted.
+    Each column is held once: the ranks become id codes and are dropped
+    before the stamps are drawn, and the stamps are sorted in place.
     Rank 0 (``f0000``) is the most popular function. ``function_name``
     pads every rank to one width, so the names of the drawn ranks, in rank
     order, are sorted.
@@ -488,13 +524,16 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> Trace:
     cdf = np.cumsum(zipf_mass(spec.num_functions, spec.zipf_exponent))
     cdf[-1] = 1.0  # guard against cumulative rounding below 1
     ranks = np.searchsorted(cdf, rng.random(spec.num_requests), side="right")
-    stamps = np.sort(rng.integers(0, spec.duration_ms, size=spec.num_requests))
     drawn = np.flatnonzero(np.bincount(ranks, minlength=spec.num_functions))
     code_of_rank = np.zeros(spec.num_functions, dtype=np.int32)
     code_of_rank[drawn] = np.arange(len(drawn), dtype=np.int32)  # ranks never drawn get no name
+    codes = code_of_rank[ranks]
+    del ranks  # before the stamps are drawn, so the two are never held together
+    stamps = rng.integers(0, spec.duration_ms, size=spec.num_requests)
+    stamps.sort()  # in place: np.sort would hold a second copy
     names = tuple(function_name(r, spec.num_functions) for r in drawn.tolist())
     # sorted stamps in [0, duration_ms) and non-empty names are valid by construction
-    return Trace._from_valid_columns(stamps, code_of_rank[ranks], names)
+    return Trace._from_valid_columns(stamps, codes, names)
 
 
 def request_counts(trace: Trace) -> dict[str, int]:
@@ -640,6 +679,7 @@ def parse_profiles(stream: IO[str] | Iterable[str]) -> list[FunctionProfile]:
         raise TraceParseError(f"line 1: expected header {PROFILE_HEADER!r}")
     profiles = []
     seen = set()
+    intern = {}.setdefault  # one string object per distinct runtime and package name
     for lineno, line in enumerate(lines, start=2):
         row = line.rstrip("\r\n")
         parts = row.split(",")
@@ -653,9 +693,9 @@ def parse_profiles(stream: IO[str] | Iterable[str]) -> list[FunctionProfile]:
         if function_id in seen:
             raise TraceParseError(f"line {lineno}: duplicate function_id {function_id!r}")
         seen.add(function_id)
-        deps = frozenset(deps_text.split(";")) if deps_text else frozenset()
+        deps = frozenset([intern(name, name) for name in deps_text.split(";")]) if deps_text else frozenset()
         try:
-            profiles.append(FunctionProfile(function_id, runtime, deps, exec_duration_ms))
+            profiles.append(FunctionProfile(function_id, intern(runtime, runtime), deps, exec_duration_ms))
         except ValueError as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from None
     return profiles

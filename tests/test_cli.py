@@ -130,6 +130,27 @@ def test_generate_zero_requests_exits_2(tmp_path, capsys):
     assert "num_requests" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--functions", "0"], "--functions: num_functions must be >= 1, not 0"),
+        (["--requests", "0"], "--requests: num_requests must be >= 1, not 0"),
+        (["--duration", "0"], "--duration: duration_ms must be >= 1, not 0"),
+        (["--catalog-size", "0"], "--catalog-size: catalog_size must be >= 1, not 0"),
+        (["--seed", "-1"], "--seed: seed must be >= 0, not -1"),
+        (["--deps-min", "-1"], "--deps-min and --deps-max must satisfy 0 <= min <= max, not -1 and 5"),
+        (["--deps-min", "3", "--deps-max", "2"], "--deps-min and --deps-max must satisfy 0 <= min <= max, not 3 and 2"),
+        (["--deps-max", "300"], "--deps-max 300 exceeds --catalog-size 200"),
+    ],
+    ids=["functions", "requests", "duration", "catalog-size", "seed", "deps-min", "deps-min-above-max",
+         "deps-max-above-catalog"],
+)
+def test_generate_range_errors_name_the_flag(tmp_path, capsys, flags, message):
+    assert main(generate_args(tmp_path) + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_every_int64_stamp_is_generated_and_read_and_the_next_is_refused(tmp_path, capsys):
     args = generate_args(tmp_path, requests=50)
     duration = args.index("--duration") + 1
@@ -499,10 +520,12 @@ def test_simulate_malformed_config_exits_2(simulate_inputs, tmp_path, capsys):
          "routing_policy must be one of LeastLoaded, HandlerAffinity, not \"Fastest\""),
         ({"install_capacity_bytes": 0, "package_size_bytes": 0}, "install_capacity_bytes must be >= 1"),
         ({"handler_capacity_bytes": 0, "footprint_bytes": 0}, "handler_capacity_bytes must be >= 1"),
+        ({"footprint_overrides": {"no-such-function": "1GiB"}},
+         "footprint_overrides names 'no-such-function', a function with no profile"),
     ],
     ids=["unknown-phase", "model-not-object", "phase-null", "nodes-null", "capacity-list",
          "override-object", "keep-alive-true", "nodes-float", "keep-alive-infinity", "phase-true", "size-unparseable",
-         "policy-unknown", "install-capacity-zero", "handler-capacity-zero"],
+         "policy-unknown", "install-capacity-zero", "handler-capacity-zero", "override-unprofiled"],
 )
 def test_simulate_mistyped_config_value_exits_2(simulate_inputs, tmp_path, capsys, payload, message):
     trace, profiles, partition = simulate_inputs
@@ -632,6 +655,16 @@ def test_unparseable_flag_value_names_the_flag(argv, message, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_analyze_of_a_pipe_exits_2():
+    # the parse counts the rows before it reads them, so it needs a trace it can read twice
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "coldsim.cli", "analyze", "/dev/stdin"],
+                          input="timestamp_ms,function_id\n0,a\n", capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the trace input must be seekable: its rows are counted before they are parsed\n"
 
 
 def test_module_entry_point_runs():

@@ -406,6 +406,12 @@ def test_run_validates_profiles_and_partition():
         run(make_trace((0, "ghost")), [prof, other], config)
     with pytest.raises(ValueError, match="duplicate function_id 'fn'"):
         run(make_trace((0, "fn")), [prof, prof], config)
+    # an override for a function with no profile would otherwise be silently ignored
+    mistyped = dataclasses.replace(config, footprint_overrides={"zeta": MIB, "ghost": MIB, "fn": MIB})
+    outcomes = []
+    with pytest.raises(ValueError, match="footprint_overrides names 'ghost', a function with no profile"):
+        run(make_trace((0, "fn")), [prof], mistyped, outcomes.append)
+    assert outcomes == []  # raised before the first request
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4)), max_size=80))

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import io
+import os
 import random
 import re
 import tracemalloc
 from collections import Counter
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -405,6 +407,67 @@ def test_parse_peak_memory_is_bounded_per_row():
     assert peak / len(trace) < 100, f"{peak / len(trace):.1f} peak bytes per row"
 
 
+def test_parse_holds_each_column_once():
+    rows = 200_000
+    trace = generate_synthetic(SyntheticTraceSpec(1_000, rows, 1.1, 86_400_000, seed=3))  # sorted
+    buffer = io.StringIO()
+    write_trace(trace, buffer)
+    stream = io.StringIO(buffer.getvalue())
+    with mock.patch.object(traces, "BLOCK", 4_096):  # blocks of about 300 rows
+        tracemalloc.start()
+        try:
+            parsed = parse_trace(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert parsed == trace
+    # the columns take 12 bytes per row; a second copy of either, or the codes cast to intp, would
+    # take 4 or more; one remap chunk, one block and the id tables fit in the rest
+    assert peak < 12 * rows + 512 * 1024, f"{peak / rows:.1f} peak bytes per row"
+
+
+def test_generate_holds_each_column_once():
+    generate_synthetic(SyntheticTraceSpec(1, 1, 1.1, 1, seed=0))  # the generator's one-time set-up
+    rows = 200_000
+    tracemalloc.start()
+    try:
+        trace = generate_synthetic(SyntheticTraceSpec(1_000, rows, 1.1, 86_400_000, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == rows
+    # the uniforms and the ranks they map to, 8 bytes per row each, are the peak; the stamps
+    # are drawn once the ranks are codes, and sorted in place
+    assert peak < 16 * rows + 256 * 1024, f"{peak / rows:.1f} peak bytes per row"
+
+
+def test_parse_refuses_a_stream_it_cannot_read_twice():
+    text = f"{TRACE_HEADER}\n0,a\n1,b\n"
+    read_end, write_end = os.pipe()
+    with open(write_end, "w", encoding="utf-8") as pipe:
+        pipe.write(text)
+    with open(read_end, "r", encoding="utf-8") as pipe, pytest.raises(TraceParseError, match="must be seekable"):
+        parse_trace(pipe)
+
+    class Changing(io.StringIO):
+        """A stream whose text is replaced by ``second`` when it is sought back."""
+
+        def __init__(self, first: str, second: str) -> None:
+            super().__init__(first)
+            self.second = second
+
+        def seek(self, *args):
+            self.truncate(0)
+            super().seek(0)
+            self.write(self.second)
+            return super().seek(*args)
+
+    for second in (text + "2,c\n", f"{TRACE_HEADER}\n0,a\n", text + "2,c"):
+        with pytest.raises(TraceParseError, match="changed while it was read"):
+            parse_trace(Changing(text, second))
+    assert parse_trace(Changing(text, text)) == Trace((0, 1), ("a", "b"))
+
+
 def test_parse_and_generate_build_traces_without_rechecking_rows():
     text = f"{TRACE_HEADER}\n7,b\n3,a\n7,a\n"
     spec = SyntheticTraceSpec(num_functions=5, num_requests=50, zipf_exponent=1.0, duration_ms=100, seed=2)
@@ -653,6 +716,18 @@ def test_parse_profiles_empty_deps_column():
     assert profiles[0].dependencies == frozenset()
     assert profiles[1].dependencies == frozenset({"x", "y"})
     assert profiles[1].runtime == "nodejs"
+
+
+def test_parse_profiles_keeps_one_string_per_runtime_and_package():
+    header = "function_id,runtime,exec_duration_ms,dependencies\n"
+    runtimes = ("nodejs", "python")
+    rows = [f"f{i},{runtimes[i % 2]},1,{';'.join(f'p{k}' for k in range(i % 4 + 1))}\n" for i in range(40)]
+    profiles = parse_profiles(io.StringIO(header + "".join(rows)))
+    shared = {}
+    for name in chain.from_iterable((p.runtime, *p.dependencies) for p in profiles):
+        assert shared.setdefault(name, name) is name
+    assert sorted(shared) == ["nodejs", "p0", "p1", "p2", "p3", "python"]
+    assert not hasattr(profiles[0], "__dict__")  # a profile holds its four fields in slots
 
 
 @pytest.mark.parametrize("deps_text", ["numpy;", ";numpy", "a;;b", ";"])
