@@ -322,13 +322,11 @@ def cmd_simulate(args) -> int:
             payload = json.load(handle)
         inputs.append(args.config)
     config = _build_sim_config(partition, payload)
-    if args.per_request:
-        # rows are written during the run; a command that fails keeps none of them
-        with _output_files([args.per_request]) as (handle,):
-            result = run(trace, profiles, config, write_per_request_csv(handle))
-            outputs = _emit(args, result.to_json() + "\n") + [args.per_request]
-    else:
-        outputs = _emit(args, run(trace, profiles, config).to_json() + "\n")
+    per_request = [args.per_request] if args.per_request else []
+    # per-request rows are written during the run; a command that fails keeps none of them
+    with _output_files(per_request) as handles:
+        result = run(trace, profiles, config, *map(write_per_request_csv, handles))
+        outputs = _emit(args, result.to_json() + "\n") + per_request
     return _finish(args, "simulate", {"config": payload}, inputs, outputs)
 
 

@@ -277,6 +277,11 @@ def run(
     if unprofiled:
         raise ValueError(f"footprint_overrides names {unprofiled[0]!r}, a function with no profile")
     group_of = config.partition.function_to_group()
+    runtime_of = {f: g.runtime for g in config.partition.groups for f in g.function_ids}
+    mixed = sorted(f for f in runtime_of.keys() & catalog.keys() if catalog[f].runtime != runtime_of[f])
+    if mixed:
+        fid = mixed[0]
+        raise ValueError(f"function {fid!r} has runtime {catalog[fid].runtime!r}, not its group's {runtime_of[fid]!r}")
     for fid in trace.names:
         if fid not in catalog:
             raise ValueError(f"no profile for function {fid!r}")

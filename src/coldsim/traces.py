@@ -13,18 +13,21 @@ construction.
 
 Each column is held once: ``parse_trace`` counts the rows in a first
 read, then writes each block of the second read straight into
-preallocated columns, and ``generate_synthetic`` drops its ranks before it
-draws the stamps, which it sorts in place.
+preallocated columns, ``generate_synthetic`` drops its ranks before it
+draws the stamps, which it sorts in place, and ``request_counts``, the one
+count of the codes, counts them a chunk at a time.
 
 ``parse_trace`` reads the CSV in blocks of text. A block of canonical rows
 (plain digits, one comma, an id) is parsed by numpy passes over its bytes,
 with no Python statement per row; any other block is parsed row by row, and
 that loop alone defines which rows are valid and what each error says.
+Both key one map by each id's UTF-8 bytes, decoded once after the last block.
 
 The trace writer is the parse's mirror. A trace is formatted by
 numpy passes, a bounded piece of rows at a time: each stamp's digits four
 at a time from a table of the 10,000 four-digit ASCII words, each id's
-bytes from a table with one row per distinct id.
+bytes from a table with one row per distinct id. Each writer checks every
+name before it writes anything.
 """
 
 from __future__ import annotations
@@ -238,6 +241,10 @@ def parse_trace(stream: IO[str]) -> Trace:
     copied; an unsorted one is sorted by a stable argsort, which copies
     both columns.
 
+    Both paths code an id by one map keyed by its UTF-8 bytes. The names
+    are those keys sorted, then decoded: UTF-8 byte order is code-point
+    order, lone surrogates (``"surrogatepass"``) included.
+
     Raises TraceParseError naming the offending line for malformed rows, for
     a stream that is not seekable, and for one whose second read yields a
     different number of rows. A header-only input yields a valid empty Trace.
@@ -252,13 +259,12 @@ def parse_trace(stream: IO[str]) -> Trace:
     rows = _count_rows(stream)
     stamps = np.empty(rows, dtype=np.int64)
     id_codes = np.empty(rows, dtype=np.int32)  # first-seen codes until remapped to name order
-    codes: dict[str, int] = {}  # keys are the one string object per distinct id
-    known: dict[bytes, int] = {}  # an id's UTF-8 bytes -> its code
+    codes: dict[bytes, int] = {}  # an id's UTF-8 bytes -> its first-seen code
     n = 0
     ordered = True  # whether the rows written so far are sorted by timestamp
     while block := stream.read(BLOCK):
         block += stream.readline()  # finish the block's last row
-        parsed = _parse_canonical_block(block, codes, known)
+        parsed = _parse_canonical_block(block, codes)
         if parsed is None:
             parsed = _parse_rows(io.StringIO(block), n + 2, codes)
         m = len(parsed[0])
@@ -270,9 +276,10 @@ def parse_trace(stream: IO[str]) -> Trace:
         n += m
     if block or n != rows:  # a block left unwritten, or fewer rows than counted
         raise TraceParseError("the trace input changed while it was read: its row count differs between two reads")
-    names = tuple(sorted(codes))
-    rank = np.empty(len(names), dtype=np.int32)  # first-seen code -> code in ``names``
-    rank[[codes[name] for name in names]] = np.arange(len(names))
+    keys = sorted(codes)  # in the order of the decoded names
+    names = tuple(key.decode("utf-8", "surrogatepass") for key in keys)
+    rank = np.empty(len(keys), dtype=np.int32)  # first-seen code -> code in ``names``
+    rank[[codes[key] for key in keys]] = np.arange(len(keys))
     for start in range(0, rows, ROW_CHUNK):  # in place: a whole-column index would copy the codes as intp
         piece = id_codes[start:start + ROW_CHUNK]
         piece[:] = rank[piece]
@@ -298,7 +305,7 @@ def _count_rows(stream: IO[str]) -> int:
     return rows + (not ends_row)
 
 
-def _parse_rows(lines: Iterable[str], lineno: int, codes: dict[str, int]) -> tuple[list[int], list[int]]:
+def _parse_rows(lines: Iterable[str], lineno: int, codes: dict[bytes, int]) -> tuple[list[int], list[int]]:
     """Parse rows one by one from line number ``lineno`` on, returning their
     timestamps and id codes. This loop defines a valid row and every error."""
     stamps: list[int] = []
@@ -320,22 +327,19 @@ def _parse_rows(lines: Iterable[str], lineno: int, codes: dict[str, int]) -> tup
         if not function_id:
             raise TraceParseError(f"line {lineno}: empty function_id")
         stamps.append(ts)
-        ids.append(codes.setdefault(function_id, len(codes)))
+        ids.append(codes.setdefault(function_id.encode("utf-8", "surrogatepass"), len(codes)))
     return stamps, ids
 
 
-def _parse_canonical_block(
-    block: str, codes: dict[str, int], known: dict[bytes, int]
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_canonical_block(block: str, codes: dict[bytes, int]) -> tuple[np.ndarray, np.ndarray] | None:
     """int64 timestamps and int32 id codes of a block of canonical rows, or
     None, having changed nothing, if any row is not canonical.
 
     An id is read as little-endian 64-bit words, zeroed past its end; an id
     holds no NUL, so its words determine it. The words are hashed into one
     key, rows are grouped by sorting the keys, and a block in which two
-    different ids would share a group is left to the row loop. ``known``
-    maps the UTF-8 bytes of each id decoded so far to its code, so an id is
-    decoded once per parse.
+    different ids would share a group is left to the row loop. An id whose
+    bytes ``codes`` lacks is given the next code.
     """
     raw = bytes(8) + block.encode("utf-8", "surrogatepass") + bytes(8)  # padded for 8-byte reads
     data = np.frombuffer(raw, dtype=np.uint8)
@@ -391,10 +395,9 @@ def _parse_canonical_block(
 
     # each group's id as bytes: numpy drops the zero padding
     keys = np.stack([word[first] for word in words], axis=1).view(f"S{8 * len(words)}").ravel().tolist()
-    lookup = np.fromiter(map(known.get, keys, repeat(-1)), dtype=np.int32, count=len(keys))
-    for i in np.flatnonzero(lookup < 0).tolist():  # ids no earlier block decoded
-        name = keys[i].decode("utf-8", "surrogatepass")
-        lookup[i] = known[keys[i]] = codes.setdefault(name, len(codes))
+    lookup = np.fromiter(map(codes.get, keys, repeat(-1)), dtype=np.int32, count=len(keys))
+    for i in np.flatnonzero(lookup < 0).tolist():  # ids no earlier row named
+        lookup[i] = codes[keys[i]] = len(codes)
     return stamps, lookup[group]
 
 
@@ -426,13 +429,6 @@ def check_profile_name(name: str) -> str:
     """``name`` itself when the profile CSV can hold it as an id, runtime or dependency; a ValueError otherwise."""
     _check_identifier(name, _ROW_SEPARATORS + ";")  # ";" separates dependencies
     return name
-
-
-def _trace_text(trace: Trace) -> Iterator[str]:
-    """Check every id, then return the trace's CSV text in pieces of whole rows."""
-    for function_id in trace.names:  # each distinct id once, in sorted order
-        _check_identifier(function_id, _ROW_SEPARATORS)
-    return chain([TRACE_HEADER + "\n"], _matrix_rows(trace))
 
 
 def _matrix_rows(trace: Trace) -> Iterator[str]:
@@ -478,13 +474,11 @@ def _ascii_digits(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def write_trace(trace: Trace, stream: IO[str]) -> None:
-    stream.writelines(_trace_text(trace))
-
-
-def save_trace(trace: Trace, path) -> None:
-    text = _trace_text(trace)  # a refused id raises here, before the file is opened
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(text)
+    """Write the trace's CSV text; an id its reader would split or alter raises ValueError before any write."""
+    for function_id in trace.names:  # each distinct id once, in sorted order
+        _check_identifier(function_id, _ROW_SEPARATORS)
+    stream.write(TRACE_HEADER + "\n")
+    stream.writelines(_matrix_rows(trace))
 
 
 def check_exponent(exponent: float) -> float:
@@ -537,8 +531,12 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> Trace:
 
 
 def request_counts(trace: Trace) -> dict[str, int]:
-    """Requests per function_id, for each id in the trace."""
-    return dict(zip(trace.names, np.bincount(trace.codes, minlength=len(trace.names)).tolist()))
+    """Requests per function_id, for each id in the trace, counting ``ROW_CHUNK``
+    codes at a time: ``np.bincount`` copies its input as intp."""
+    counts = np.zeros(len(trace.names), dtype=np.int64)
+    for start in range(0, len(trace), ROW_CHUNK):
+        counts += np.bincount(trace.codes[start:start + ROW_CHUNK], minlength=len(trace.names))
+    return dict(zip(trace.names, counts.tolist()))
 
 
 def check_target(target: float) -> float:
@@ -559,7 +557,7 @@ def popularity_cdf(trace: Trace, targets: Sequence[float] = DEFAULT_THRESHOLD_TA
         raise ValueError("empty trace")
     for t in targets:
         check_target(t)
-    counts = np.bincount(trace.codes)
+    counts = np.fromiter(request_counts(trace).values(), np.int64, count=len(trace.names))
     cum = np.cumsum(np.sort(counts)[::-1])
     total, n = len(trace), len(counts)
     points = zip((np.arange(1, n + 1) / n).tolist(), (cum / total).tolist())
@@ -706,23 +704,12 @@ def load_profiles(path) -> list[FunctionProfile]:
         return parse_profiles(handle)
 
 
-def _profile_lines(profiles: Sequence[FunctionProfile]) -> list[str]:
-    """The catalog's CSV lines; a name its reader would split or alter raises ValueError."""
+def write_profiles(profiles: Sequence[FunctionProfile], stream: IO[str]) -> None:
+    """Write the catalog's CSV text; a name its reader would split or alter raises ValueError before any write."""
     names = dict.fromkeys(chain.from_iterable((p.function_id, p.runtime, *p.dependencies) for p in profiles))
     for name in names:  # each distinct name once, in profile order
         check_profile_name(name)
-    lines = [PROFILE_HEADER + "\n"]
-    for p in profiles:
-        deps = ";".join(sorted(p.dependencies))
-        lines.append(f"{p.function_id},{p.runtime},{p.exec_duration_ms},{deps}\n")
-    return lines
-
-
-def write_profiles(profiles: Sequence[FunctionProfile], stream: IO[str]) -> None:
-    stream.writelines(_profile_lines(profiles))
-
-
-def save_profiles(profiles: Sequence[FunctionProfile], path) -> None:
-    lines = _profile_lines(profiles)  # a refused name raises here, before the file is opened
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(lines)
+    stream.write(PROFILE_HEADER + "\n")
+    stream.writelines(
+        f"{p.function_id},{p.runtime},{p.exec_duration_ms},{';'.join(sorted(p.dependencies))}\n" for p in profiles
+    )

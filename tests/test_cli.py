@@ -11,7 +11,7 @@ import pytest
 from coldsim.cli import _CONFIG_READERS, _build_sim_config, main, parse_size
 from coldsim.locality import LocalityGroup, Partition
 from coldsim.sim import SimConfig
-from coldsim.traces import FunctionProfile, load_profiles, save_profiles
+from coldsim.traces import FunctionProfile, load_profiles, write_profiles
 
 from conftest import REPO_ROOT
 
@@ -350,16 +350,24 @@ def test_failed_simulate_leaves_no_output_files(simulate_inputs, tmp_path):
     trace, profiles, partition = simulate_inputs
     sparse = tmp_path / "sparse.csv"
     write_profiles_csv(sparse, ["other,python,63,"])
+    nodejs = tmp_path / "nodejs.json"
+    nodejs.write_text(partition.read_text().replace('"python"', '"nodejs"'))
     per_request = tmp_path / "per_request.csv"
-    # an unprofiled function fails the run; an --out in a missing directory fails after it
-    for catalog, out in ((sparse, tmp_path / "result.json"), (profiles, tmp_path / "no" / "r.json")):
+    # an unprofiled function or a group of another runtime fails the run; an --out in a missing
+    # directory fails after it
+    for catalog, groups, out in (
+        (sparse, partition, tmp_path / "result.json"),
+        (profiles, nodejs, tmp_path / "result.json"),
+        (profiles, partition, tmp_path / "no" / "r.json"),
+    ):
         rc = main([
-            "simulate", str(trace), str(catalog), str(partition),
+            "simulate", str(trace), str(catalog), str(groups),
             "--quiet", "--out", str(out), "--per-request", str(per_request),
         ])
         assert rc == 2
         assert not out.exists()
         assert not per_request.exists()
+        assert not (out.parent / (out.name + ".manifest.json")).exists()
 
 
 def test_simulate_honors_config_file(simulate_inputs, tmp_path, capsys):
@@ -419,7 +427,8 @@ def test_every_profile_field_changes_an_output(tmp_path):
     profiles = load_profiles(catalog)
 
     def outputs_of(changed):
-        save_profiles(changed, catalog)
+        with open(catalog, "w", encoding="utf-8", newline="\n") as handle:
+            write_profiles(changed, handle)
         assert main(["partition", str(catalog), str(trace), "--groups-per-runtime", "2", "--workers", "6",
                      "--quiet", "--out", str(outputs[0])]) == 0
         assert main(["simulate", str(trace), str(catalog), str(outputs[0]), "--quiet",

@@ -412,6 +412,14 @@ def test_run_validates_profiles_and_partition():
     with pytest.raises(ValueError, match="footprint_overrides names 'ghost', a function with no profile"):
         run(make_trace((0, "fn")), [prof], mistyped, outcomes.append)
     assert outcomes == []  # raised before the first request
+    # a group of another runtime would otherwise be simulated as if it matched; every profiled member
+    # is checked in name order, not only the functions the trace requests
+    profiles = [make_profile(f) for f in ("b", "a", "c")]
+    partition = partition_round_robin(profiles, 1, 1, {f: 1 for f in "abc"})
+    relabelled = [p if p.function_id == "c" else dataclasses.replace(p, runtime="nodejs") for p in profiles]
+    with pytest.raises(ValueError, match="^function 'a' has runtime 'nodejs', not its group's 'python'$"):
+        run(make_trace((0, "c")), relabelled, SimConfig(partition), outcomes.append)
+    assert outcomes == []
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 4)), max_size=80))

@@ -104,6 +104,25 @@ def test_traced_sweep_makes_one_pass(tracer_module, tmp_path):
     assert tracer.span_count("sim.lru_replay") == 0
 
 
+def test_traced_analyze_ranks_through_request_counts(tracer_module, tmp_path):
+    trace = tmp_path / "trace.csv"
+    assert cli.main([
+        "generate", "--quiet", "--functions", "40", "--requests", "2000",
+        "--duration", "600000", "--seed", "3",
+        "--out", str(trace), "--profiles-out", str(tmp_path / "profiles.csv"),
+    ]) == 0
+    tracer = tracer_module.Tracer()
+    tracer_module.install(tracer)
+    try:
+        assert cli.main(["analyze", str(trace), "--quiet", "--out", str(tmp_path / "skew.json")]) == 0
+    finally:
+        tracer.uninstall()
+    # the ranking counts the codes through request_counts, so its span is inside popularity_cdf's
+    (ranking,) = [span for span in tracer.spans if span["name"] == "traces.popularity_cdf"]
+    (counting,) = [span for span in tracer.spans if span["name"] == "traces.request_counts"]
+    assert counting["parent"] == ranking["id"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "partition", "sweep"])
 def test_traced_load_counts_every_row(tracer_module, tmp_path, command):
     trace, profiles, out = tmp_path / "trace.csv", tmp_path / "profiles.csv", str(tmp_path / "out")
