@@ -3,7 +3,8 @@
 Data goes to stdout or ``--out``; diagnostics go to stderr. Exit status is
 0 on success, 2 on usage or input errors, 1 on internal errors. Commands
 that write files also write a ``<out>.manifest.json`` recording the resolved
-configuration, so re-runs with identical inputs are byte-reproducible.
+configuration, so re-runs with identical inputs are byte-reproducible. A
+command that fails removes every file it opened, its manifest included.
 """
 
 from __future__ import annotations
@@ -73,20 +74,15 @@ def _flag_type(parse, comma_separated: bool = False):
     """argparse ``type``: ``parse`` of the value, or of each comma-separated part; a ValueError names the flag."""
     def convert(text: str):
         try:
-            if comma_separated:
-                return [parse(part) for part in text.split(",") if part.strip()]
-            return parse(text)
+            if not comma_separated:
+                return parse(text)
+            parts = [parse(part) for part in text.split(",") if part.strip()]
+            if not parts:
+                raise ValueError(f"no comma-separated value in {text!r}")
+            return parts
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
-
-
-def _digest(command: str, parameters: dict, inputs: list[str]) -> str:
-    canonical = json.dumps(
-        {"command": command, "parameters": parameters, "inputs": inputs},
-        sort_keys=True,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @contextmanager
@@ -104,52 +100,61 @@ def _output_files(paths: list[str]):
         raise
 
 
+def _named(args, labels) -> list[tuple[str, str]]:
+    """(label, path) of each flag or positional in ``labels`` given a path: "--per-request" -> args.per_request."""
+    named = ((label, getattr(args, label.lstrip("-").replace("-", "_"))) for label in labels)
+    return [(label, path) for label, path in named if path]
+
+
+def _outputs(args) -> list[tuple[str, str]]:
+    """(label, path) of each file the command writes: its outputs as declared, then the manifest of the first."""
+    outputs = _named(args, args.writes)
+    if outputs:
+        outputs.append((f"the manifest of {outputs[0][0]}", outputs[0][1] + ".manifest.json"))
+    return outputs
+
+
 def _check_paths(args) -> None:
     """Refuse, before anything is read or written, an output path that names another output or an input."""
-    def named(labels):  # "--per-request" -> args.per_request
-        return [(label, getattr(args, label.lstrip("-").replace("-", "_"))) for label in labels]
-
-    outputs = [(label, path) for label, path in named(args.writes) if path]
-    if outputs:  # _finish writes the manifest next to the first file output
-        outputs.append((f"the manifest of {outputs[0][0]}", outputs[0][1] + ".manifest.json"))
-    seen = {os.path.realpath(path): label for label, path in named(args.reads) if path}
-    for label, path in outputs:
+    seen = {os.path.realpath(path): label for label, path in _named(args, args.reads)}
+    for label, path in _outputs(args):
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"{label} and {seen[real]} name the same file: {path}")
         seen[real] = label
 
 
-def _finish(args, command: str, parameters: dict, inputs: list[str], outputs: list[str]) -> int:
-    """Write the run manifest next to the first file output, if any."""
-    if outputs:
-        manifest = {"command": command, "config_digest": _digest(command, parameters, inputs),
-                    "input_paths": inputs, "output_paths": outputs, "tool_version": __version__}
-        if getattr(args, "seed", None) is not None:  # only generate draws random numbers
-            manifest["seed"] = args.seed
-        with _output_files([outputs[0] + ".manifest.json"]) as (handle,):
-            handle.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        if not args.quiet:
-            for path in outputs:
-                print(f"wrote {path}", file=sys.stderr)
-    return 0
+@contextmanager
+def _writing(args, parameters: dict):
+    """The command's output streams keyed by flag, ``--out`` being stdout when it is not given.
+
+    Every output file and the manifest are opened together; the manifest is
+    written when the block ends. If anything fails, each file opened is removed.
+    """
+    outputs = _outputs(args)
+    with _output_files([path for _, path in outputs]) as handles:
+        streams = dict(zip([label for label, _ in outputs], handles))
+        streams.setdefault("--out", sys.stdout)
+        yield streams
+        if outputs:
+            inputs = [path for _, path in _named(args, args.reads)]
+            run_config = {"command": args.command, "parameters": parameters, "inputs": inputs}
+            manifest = {"command": args.command, "input_paths": inputs, "tool_version": __version__,
+                        "output_paths": [path for _, path in outputs[:-1]],
+                        "config_digest": hashlib.sha256(json.dumps(run_config, sort_keys=True).encode()).hexdigest()}
+            if getattr(args, "seed", None) is not None:  # only generate draws random numbers
+                manifest["seed"] = args.seed
+            handles[-1].write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    if not args.quiet:
+        for _, path in outputs[:-1]:
+            print(f"wrote {path}", file=sys.stderr)
 
 
-def _emit(args, text: str) -> list[str]:
-    """Primary payload to --out or stdout; returns file outputs for the manifest."""
-    if args.out:
-        with _output_files([args.out]) as (handle,):
-            handle.write(text)
-        return [args.out]
-    sys.stdout.write(text)
-    return []
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     trace = load_trace(args.trace)
     summary = popularity_cdf(trace, args.targets)
-    outputs = _emit(args, summary.to_json() + "\n")
-    return _finish(args, "analyze", {"targets": args.targets}, [args.trace], outputs)
+    with _writing(args, {"targets": args.targets}) as streams:
+        streams["--out"].write(summary.to_json() + "\n")
 
 
 def _check_generate_flags(args) -> None:
@@ -174,7 +179,7 @@ def _check_generate_flags(args) -> None:
         raise ValueError(f"--deps-max {args.deps_max} exceeds --catalog-size {args.catalog_size}")
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     if not args.out:
         raise ValueError("generate requires --out for the trace CSV")
     _check_generate_flags(args)
@@ -207,13 +212,12 @@ def cmd_generate(args) -> int:
         "runtime": args.runtime,
         "seed": args.seed,
     }
-    with _output_files([args.out, args.profiles_out]) as (trace_file, profiles_file):
-        write_trace(trace, trace_file)
-        write_profiles(profiles, profiles_file)
-    return _finish(args, "generate", parameters, [], [args.out, args.profiles_out])
+    with _writing(args, parameters) as streams:
+        write_trace(trace, streams["--out"])
+        write_profiles(profiles, streams["--profiles-out"])
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args) -> None:
     profiles = load_profiles(args.profiles)
     trace = load_trace(args.trace)
     popularity = request_counts(trace)
@@ -229,15 +233,14 @@ def cmd_partition(args) -> int:
         partition = partition_clustered(
             graph, profiles, args.groups_per_runtime, args.workers, popularity
         )
-    text = json.dumps(partition.to_dict(), sort_keys=True, indent=2) + "\n"
-    outputs = _emit(args, text)
     parameters = {
         "groups_per_runtime": args.groups_per_runtime,
         "workers": args.workers,
         "strategy": args.strategy,
         "weight_by_duration": args.weight_by_duration,
     }
-    return _finish(args, "partition", parameters, [args.profiles, args.trace], outputs)
+    with _writing(args, parameters) as streams:
+        streams["--out"].write(json.dumps(partition.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def _config_int(key: str, value) -> int:
@@ -310,38 +313,32 @@ def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
     return SimConfig(partition, **{key: _CONFIG_READERS[key](key, value) for key, value in payload.items()})
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     trace = load_trace(args.trace)
     profiles = load_profiles(args.profiles)
     with open(args.partition, "r", encoding="utf-8") as handle:
         partition = Partition.from_dict(json.load(handle))
     payload = {}
-    inputs = [args.trace, args.profiles, args.partition]
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        inputs.append(args.config)
     config = _build_sim_config(partition, payload)
-    per_request = [args.per_request] if args.per_request else []
-    # per-request rows are written during the run; a command that fails keeps none of them
-    with _output_files(per_request) as handles:
-        result = run(trace, profiles, config, *map(write_per_request_csv, handles))
-        outputs = _emit(args, result.to_json() + "\n") + per_request
-    return _finish(args, "simulate", {"config": payload}, inputs, outputs)
+    # the run streams per-request rows, so every output is opened before it; a run that fails keeps none
+    with _writing(args, {"config": payload}) as streams:
+        sinks = [write_per_request_csv(streams["--per-request"])] if "--per-request" in streams else []
+        result = run(trace, profiles, config, *sinks)
+        streams["--out"].write(result.to_json() + "\n")
 
 
-def cmd_sweep(args) -> int:
-    if not args.sizes:
-        raise ValueError("--sizes must name at least one cache size")
+def cmd_sweep(args) -> None:
     if min(args.sizes) < args.footprint:
         raise ValueError(f"--sizes: cache size {min(args.sizes)} smaller than footprint {args.footprint}")
     trace = load_trace(args.trace)
     rows = sweep_cache_sizes(trace, args.sizes, args.footprint)
     lines = ["cache_bytes,hit_rate"]
     lines.extend(f"{size},{rate:.6f}" for size, rate in rows)
-    outputs = _emit(args, "\n".join(lines) + "\n")
-    parameters = {"sizes": sorted(args.sizes), "footprint_bytes": args.footprint}
-    return _finish(args, "sweep", parameters, [args.trace], outputs)
+    with _writing(args, {"sizes": sorted(args.sizes), "footprint_bytes": args.footprint}) as streams:
+        streams["--out"].write("\n".join(lines) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,10 +411,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_paths(args)
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

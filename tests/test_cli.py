@@ -370,6 +370,27 @@ def test_failed_simulate_leaves_no_output_files(simulate_inputs, tmp_path):
         assert not (out.parent / (out.name + ".manifest.json")).exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "analyze", "sweep", "partition", "simulate"])
+def test_a_manifest_that_cannot_be_opened_fails_the_command_and_leaves_no_output(simulate_inputs, tmp_path, capsys,
+                                                                                command):
+    # the outputs and the manifest are opened together, so the outputs opened before it are removed
+    trace, profiles, partition = simulate_inputs
+    outdir = tmp_path / "run"
+    outdir.mkdir()
+    second = str(outdir / "second.csv")
+    argv = {
+        "generate": ["generate", "--functions", "5", "--requests", "9", "--profiles-out", second],
+        "analyze": ["analyze", str(trace)],
+        "sweep": ["sweep", str(trace), "--sizes", "1GiB"],
+        "partition": ["partition", str(profiles), str(trace), "--groups-per-runtime", "1", "--workers", "1"],
+        "simulate": ["simulate", str(trace), str(profiles), str(partition), "--per-request", second],
+    }[command]
+    (outdir / "out.manifest.json").mkdir()
+    assert main(argv + ["--quiet", "--out", str(outdir / "out")]) == 2
+    assert "out.manifest.json" in capsys.readouterr().err
+    assert [path.name for path in outdir.iterdir()] == ["out.manifest.json"]
+
+
 def test_simulate_honors_config_file(simulate_inputs, tmp_path, capsys):
     trace, profiles, partition = simulate_inputs
     config = tmp_path / "config.json"
@@ -646,6 +667,9 @@ GENERATE = ["generate", "--functions", "10", "--requests", "50", "--out", "t.csv
          "argument --targets: threshold target must be in (0, 1]: 1.5"),
         (["analyze", "trace.csv", "--targets", "0"], "argument --targets: threshold target must be in (0, 1]: 0.0"),
         (["sweep", "trace.csv", "--sizes", "1GiB,0"], "argument --sizes: size must be at least 1 byte: '0'"),
+        (["sweep", "trace.csv", "--sizes", ""], "argument --sizes: no comma-separated value in ''"),
+        (["analyze", "trace.csv", "--targets", ""], "argument --targets: no comma-separated value in ''"),
+        (["analyze", "trace.csv", "--targets", ",,"], "argument --targets: no comma-separated value in ',,'"),
         (["sweep", "trace.csv", "--sizes", "1GiB", "--footprint", "0KiB"],
          "argument --footprint: size must be at least 1 byte: '0KiB'"),
         (GENERATE + ["--zipf", "nan"], "argument --zipf: Zipf exponent must be a finite number >= 0: nan"),
@@ -656,8 +680,9 @@ GENERATE = ["generate", "--functions", "10", "--requests", "50", "--out", "t.csv
         (GENERATE + ["--package-zipf", "-1"],
          "argument --package-zipf: Zipf exponent must be a finite number >= 0: -1.0"),
     ],
-    ids=["sizes", "footprint", "targets", "targets-above-1", "targets-0", "sizes-0", "footprint-0",
-         "zipf-nan", "zipf-inf", "zipf-text", "package-zipf-nan", "package-zipf-negative"],
+    ids=["sizes", "footprint", "targets", "targets-above-1", "targets-0", "sizes-0", "sizes-empty",
+         "targets-empty", "targets-commas", "footprint-0", "zipf-nan", "zipf-inf", "zipf-text",
+         "package-zipf-nan", "package-zipf-negative"],
 )
 def test_unparseable_flag_value_names_the_flag(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:

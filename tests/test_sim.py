@@ -257,6 +257,51 @@ def test_affinity_has_at_most_one_live_holder_the_last_server(seed, requests, ke
         run(trace, profiles, config)
 
 
+# --- metamorphic relations: a run against another run on a transformed input --------
+
+SMALL_RUNS = given(
+    st.integers(0, 2**32),
+    st.integers(0, 80),
+    st.sampled_from(RoutingPolicy),
+    st.sampled_from([None, 0, 5, 40, 400]),
+    st.sampled_from([0, 2]),
+    st.booleans(),
+)
+
+
+def tiers_and_init_ms(trace, profiles, config):
+    """The run's tier counts and the sum of its init latencies, read from a sink."""
+    outcomes = []
+    result = run(trace, profiles, config, sink=outcomes.append)
+    return result.tier_counts, sum(o.breakdown.total_ms for o in outcomes)
+
+
+@settings(max_examples=100, deadline=None)
+@SMALL_RUNS
+def test_shifting_every_stamp_leaves_the_result_equal(seed, requests, policy, keep_alive_ms, import_max_nodes,
+                                                      overrides):
+    trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides)
+    shifted = Trace((trace.stamps + 10**12 + 7).tolist(), [trace.names[c] for c in trace.codes.tolist()])
+    assert run(shifted, profiles, config) == run(trace, profiles, config)
+
+
+@settings(max_examples=100, deadline=None)
+@SMALL_RUNS
+def test_groups_run_alone_add_up_to_the_whole_run(seed, requests, policy, keep_alive_ms, import_max_nodes,
+                                                  overrides):
+    # groups share no worker and no cache, so each group on its own requests runs as it does in the whole
+    trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides)
+    rows = [(ts, trace.names[c]) for ts, c in trace.rows()]
+    parts = []
+    for group in config.partition.groups:
+        own = [(ts, fid) for ts, fid in rows if fid in group.function_ids]
+        alone = dataclasses.replace(config, partition=Partition((group,), group.worker_count))
+        parts.append(tiers_and_init_ms(Trace([ts for ts, _ in own], [fid for _, fid in own]), profiles, alone))
+    whole_counts, whole_init_ms = tiers_and_init_ms(trace, profiles, config)
+    assert {tier: sum(counts[tier] for counts, _ in parts) for tier in whole_counts} == whole_counts
+    assert sum(init_ms for _, init_ms in parts) == whole_init_ms
+
+
 @pytest.mark.parametrize("policy", list(RoutingPolicy))
 def test_idle_workers_keep_no_past_starts(policy):
     profiles = [make_profile("fn"), make_profile("other")]

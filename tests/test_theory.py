@@ -4,16 +4,33 @@
 the independent reference model. Under it some hit rates have exact
 expectations and variances, so a check against them tests the model and the
 workload together, which an oracle that re-implements the model cannot.
+The generator is checked against that spec too, and the simulator's handler
+tier against the exact LRU that ``sweep`` counts.
 """
 
 import math
+import random
+from statistics import NormalDist
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coldsim.sim import simple_lru_hit_rate
-from coldsim.traces import SyntheticTraceSpec, generate_synthetic, zipf_mass
+from coldsim.locality import partition_round_robin
+from coldsim.sim import DEFAULT_FOOTPRINT_BYTES, SimConfig, run, simple_lru_hit_rate, sweep_cache_sizes
+from coldsim.traces import (
+    SyntheticTraceSpec,
+    Trace,
+    function_name,
+    generate_synthetic,
+    request_counts,
+    synthesize_profiles,
+    zipf_mass,
+)
 
 STANDARD_ERRORS = 4  # fixed before any run: a correct model fails a case with probability about 6e-5
+LEVEL = math.erfc(STANDARD_ERRORS / math.sqrt(2))  # that probability, two-sided: 6.3e-5
 
 
 def one_entry_lru_moments(mass, requests: int) -> tuple[float, float]:
@@ -41,3 +58,85 @@ def test_a_one_entry_lru_hits_with_the_probability_of_a_repeat(functions, expone
     trace = generate_synthetic(SyntheticTraceSpec(functions, requests, exponent, 86_400_000, seed=1))
     mean, deviation = one_entry_lru_moments(zipf_mass(functions, exponent), requests)
     assert abs(simple_lru_hit_rate(trace, 1) - mean) <= STANDARD_ERRORS * deviation
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 300), st.integers(1, 12), st.integers(1, 12))
+def test_one_worker_without_keep_alive_hits_as_the_sweep_does_on_any_trace(seed, requests, functions, capacity):
+    # one worker serves the requests in arrival order, so its handler tier is the LRU that sweep counts,
+    # whatever the gaps, the import and install tiers or the queue
+    rnd = random.Random(seed)
+    stamps = np.cumsum([rnd.choice([0, 1, 50, 5_000]) for _ in range(requests)]).tolist()
+    trace = Trace(stamps, [f"f{rnd.randrange(functions)}" for _ in stamps])
+    profiles = synthesize_profiles(trace.names, 12, seed=seed)
+    size = capacity * DEFAULT_FOOTPRINT_BYTES
+    config = SimConfig(partition=partition_round_robin(profiles, 1, 1, {}), keep_alive_ms=None,
+                       handler_capacity_bytes=size)
+    assert run(trace, profiles, config).hit_rate_by_tier["HandlerHit"] == sweep_cache_sizes(trace, [size])[0][1]
+
+
+def chi_square_quantile(df: int, z: float) -> float:
+    """The chi-square quantile with ``df`` degrees of freedom at normal score ``z`` (Wilson & Hilferty, 1931)."""
+    h = 2 / (9 * df)
+    return df * (1 - h + z * math.sqrt(h)) ** 3
+
+
+def chi_square_in_range(statistic: float, df: int, level: float) -> bool:
+    """Whether ``statistic`` lies inside the central 1 - ``level`` of chi-square with ``df`` degrees of freedom.
+
+    Too small a statistic fails as well as too large: counts that fit their
+    spec better than chance allows are not drawn independently either.
+    """
+    z = NormalDist().inv_cdf(1 - level / 2)
+    return chi_square_quantile(df, -z) <= statistic <= chi_square_quantile(df, z)
+
+
+def kolmogorov_critical(level: float) -> float:
+    """x with P(√N·D > x) = ``level`` under the null, from Kolmogorov's limit 2Σ(-1)^(k-1)e^(-2k²x²).
+
+    Only the first term is kept: at levels this small the later terms change
+    x by less than 1e-9.
+    """
+    return math.sqrt(math.log(2 / level) / 2)
+
+
+# a tier-1 workload: every function's expected count is at least 76, and the 20 most
+# requested expect at least 25 requests a minute over the hour
+GENERATED = dict(num_functions=300, num_requests=200_000, zipf_exponent=1.1, duration_ms=3_600_000)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_counts_follow_the_zipf_mass(seed):
+    spec = SyntheticTraceSpec(**GENERATED, seed=seed)
+    counts = request_counts(generate_synthetic(spec))
+    observed = np.array([counts.get(function_name(r, spec.num_functions), 0) for r in range(spec.num_functions)])
+    expected = spec.num_requests * zipf_mass(spec.num_functions, spec.zipf_exponent)
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    assert chi_square_in_range(statistic, spec.num_functions - 1, LEVEL), statistic
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_stamps_are_uniform_over_the_window(seed):
+    spec = SyntheticTraceSpec(**GENERATED, seed=seed)
+    stamps = generate_synthetic(spec).stamps
+    n, window = len(stamps), spec.duration_ms
+    # both CDFs step only at integer stamps, so D is reached at a drawn stamp or just below one
+    below = np.searchsorted(stamps, stamps, side="left") / n - stamps / window
+    at = np.searchsorted(stamps, stamps, side="right") / n - (stamps + 1) / window
+    distance = max(np.abs(below).max(), np.abs(at).max())
+    assert math.sqrt(n) * distance <= kolmogorov_critical(LEVEL), distance
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_most_requested_functions_arrive_as_poisson_processes(seed):
+    # given its count, each function's stamps are uniform, so its per-minute counts are multinomial
+    # and their Pearson statistic is chi-square with bins - 1 degrees of freedom; a burst inflates it
+    spec = SyntheticTraceSpec(**GENERATED, seed=seed)
+    trace = generate_synthetic(spec)
+    bins, top = spec.duration_ms // 60_000, 20
+    for rank in range(top):
+        code = trace.names.index(function_name(rank, spec.num_functions))
+        per_minute = np.bincount(trace.stamps[trace.codes == code] // 60_000, minlength=bins)
+        mean = per_minute.mean()
+        statistic = float(((per_minute - mean) ** 2).sum() / mean)
+        assert chi_square_in_range(statistic, bins - 1, LEVEL / top), (rank, statistic)  # one case, 20 checks
