@@ -100,10 +100,28 @@ def _output_files(paths: list[str]):
         raise
 
 
+def _path(args, label: str):
+    """The path given for a flag or positional: "--per-request" -> args.per_request."""
+    return getattr(args, label.lstrip("-").replace("-", "_"))
+
+
 def _named(args, labels) -> list[tuple[str, str]]:
-    """(label, path) of each flag or positional in ``labels`` given a path: "--per-request" -> args.per_request."""
-    named = ((label, getattr(args, label.lstrip("-").replace("-", "_"))) for label in labels)
-    return [(label, path) for label, path in named if path]
+    """(label, path) of each flag or positional in ``labels`` given a path."""
+    return [(label, _path(args, label)) for label in labels if _path(args, label)]
+
+
+def _read(args, label: str, load):
+    """``load`` of the path of ``label``, an input that ``reads`` declares; a ValueError names the input and path."""
+    path = _path(args, label)
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise ValueError(f"{label} {path}: {exc}") from None
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def _outputs(args) -> list[tuple[str, str]]:
@@ -151,7 +169,7 @@ def _writing(args, parameters: dict):
 
 
 def cmd_analyze(args) -> None:
-    trace = load_trace(args.trace)
+    trace = _read(args, "trace", load_trace)
     summary = popularity_cdf(trace, args.targets)
     with _writing(args, {"targets": args.targets}) as streams:
         streams["--out"].write(summary.to_json() + "\n")
@@ -218,8 +236,8 @@ def cmd_generate(args) -> None:
 
 
 def cmd_partition(args) -> None:
-    profiles = load_profiles(args.profiles)
-    trace = load_trace(args.trace)
+    profiles = _read(args, "profiles", load_profiles)
+    trace = _read(args, "trace", load_trace)
     popularity = request_counts(trace)
     if args.weight_by_duration:
         durations = {p.function_id: p.exec_duration_ms for p in profiles}
@@ -314,14 +332,10 @@ def _build_sim_config(partition: Partition, payload: dict) -> SimConfig:
 
 
 def cmd_simulate(args) -> None:
-    trace = load_trace(args.trace)
-    profiles = load_profiles(args.profiles)
-    with open(args.partition, "r", encoding="utf-8") as handle:
-        partition = Partition.from_dict(json.load(handle))
-    payload = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+    trace = _read(args, "trace", load_trace)
+    profiles = _read(args, "profiles", load_profiles)
+    partition = _read(args, "partition", lambda path: Partition.from_dict(_load_json(path)))
+    payload = _read(args, "--config", _load_json) if args.config else {}
     config = _build_sim_config(partition, payload)
     # the run streams per-request rows, so every output is opened before it; a run that fails keeps none
     with _writing(args, {"config": payload}) as streams:
@@ -333,7 +347,7 @@ def cmd_simulate(args) -> None:
 def cmd_sweep(args) -> None:
     if min(args.sizes) < args.footprint:
         raise ValueError(f"--sizes: cache size {min(args.sizes)} smaller than footprint {args.footprint}")
-    trace = load_trace(args.trace)
+    trace = _read(args, "trace", load_trace)
     rows = sweep_cache_sizes(trace, args.sizes, args.footprint)
     lines = ["cache_bytes,hit_rate"]
     lines.extend(f"{size},{rate:.6f}" for size, rate in rows)

@@ -25,7 +25,6 @@ class DependencyGraph:
     sorted pairs, so lookups are symmetric.
     """
 
-    nodes: frozenset[str]
     weights: Mapping[tuple[str, str], float]
 
     def weight(self, a: str, b: str) -> float:
@@ -127,7 +126,7 @@ def build_dependency_graph(profiles: Sequence[FunctionProfile]) -> DependencyGra
         weights.update(combinations(members, 2))
     for (a, b), inter in weights.items():
         weights[(a, b)] = inter / (len(deps[a]) + len(deps[b]) - inter)
-    return DependencyGraph(frozenset(deps), weights)
+    return DependencyGraph(weights)
 
 
 def allocate_workers(

@@ -163,7 +163,7 @@ def test_every_int64_stamp_is_generated_and_read_and_the_next_is_refused(tmp_pat
     past = tmp_path / "past.csv"
     write_trace_csv(past, [(0, "a"), (2**63, "b")])
     assert main(["analyze", str(past)]) == 2
-    assert f"error: line 3: timestamp_ms must be <= {2**63 - 1}\n" == capsys.readouterr().err
+    assert f"error: trace {past}: line 3: timestamp_ms must be <= {2**63 - 1}\n" == capsys.readouterr().err
 
 
 def test_generate_with_too_few_drawable_packages_exits_2(tmp_path):
@@ -619,6 +619,35 @@ def test_an_output_naming_another_output_or_an_input_exits_2(simulate_inputs, tm
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+PARTITION_FLAGS = ["--groups-per-runtime", "1", "--workers", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, label, path",
+    [
+        (["analyze", "bad_trace.csv"], "trace", "bad_trace.csv"),
+        (["sweep", "bad_trace.csv", "--sizes", "1GiB"], "trace", "bad_trace.csv"),
+        (["partition", "bad_profiles.csv", "trace.csv", *PARTITION_FLAGS], "profiles", "bad_profiles.csv"),
+        (["partition", "profiles.csv", "bad_trace.csv", *PARTITION_FLAGS], "trace", "bad_trace.csv"),
+        (["simulate", "bad_trace.csv", "profiles.csv", "partition.json"], "trace", "bad_trace.csv"),
+        (["simulate", "trace.csv", "bad_profiles.csv", "partition.json"], "profiles", "bad_profiles.csv"),
+        (["simulate", "trace.csv", "profiles.csv", "empty.json"], "partition", "empty.json"),
+        (["simulate", "trace.csv", "profiles.csv", "partition.json", "--config", "empty.json"], "--config",
+         "empty.json"),
+    ],
+    ids=["analyze-trace", "sweep-trace", "partition-profiles", "partition-trace", "simulate-trace",
+         "simulate-profiles", "simulate-partition", "simulate-config"],
+)
+def test_an_input_error_names_the_input_and_its_path(simulate_inputs, tmp_path, monkeypatch, capsys,
+                                                      argv, label, path):
+    monkeypatch.chdir(tmp_path)
+    write_trace_csv(tmp_path / "bad_trace.csv", [("x", "fn")])
+    write_profiles_csv(tmp_path / "bad_profiles.csv", ["fn,python,-1,numpy"])
+    (tmp_path / "empty.json").write_text("")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {label} {path}: ")
+
+
 def test_manifest_written_alongside_out(small_trace, tmp_path):
     out = tmp_path / "skew.json"
     assert main(["analyze", str(small_trace), "--quiet", "--out", str(out)]) == 0
@@ -633,6 +662,10 @@ def test_manifest_written_alongside_out(small_trace, tmp_path):
     assert main(["analyze", str(small_trace), "--quiet", "--out", str(out)]) == 0
     again = json.loads((tmp_path / "skew.json.manifest.json").read_text())
     assert again["config_digest"] == digest
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", str(small_trace), "--sizes", "1GiB", "--quiet", "--out", str(sweep)]) == 0
+    assert sweep.read_text().startswith("cache_bytes,hit_rate\n")
+    assert json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["output_paths"] == [str(sweep)]
 
 
 @pytest.mark.parametrize(
@@ -698,7 +731,8 @@ def test_analyze_of_a_pipe_exits_2():
                           input="timestamp_ms,function_id\n0,a\n", capture_output=True, text=True, env=env,
                           timeout=60)
     assert proc.returncode == 2
-    assert proc.stderr == "error: the trace input must be seekable: its rows are counted before they are parsed\n"
+    assert proc.stderr == ("error: trace /dev/stdin: the trace input must be seekable: "
+                           "its rows are counted before they are parsed\n")
 
 
 def test_module_entry_point_runs():

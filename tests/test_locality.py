@@ -71,7 +71,7 @@ def test_jaccard_partial_overlap():
 def test_empty_dependency_sets_get_no_edge():
     graph = build_dependency_graph([profile("a"), profile("b")])
     assert not graph.weights
-    assert graph.nodes == frozenset({"a", "b"})
+    assert graph.weight("a", "b") == 0.0
 
 
 def test_duplicate_profiles_rejected():
