@@ -5,7 +5,10 @@ order they paused, until capacity or keep-alive drops the oldest; a hit
 costs one unpause. Tier 2 (install): packages pre-installed on disk and
 mapped read-only into workers; a hit skips download and install. Tier 3
 (import): a tree of sleeping processes with progressively larger pre-imported
-package sets; a new instance forks from the best-matching node.
+package sets; a new instance forks from the best-matching node. The tree is
+held flat: an index from a package to the nodes filed under it, each node
+under the largest package name in its set, and a child count per node,
+which is all that leaf status needs.
 
 The handler and install tiers share one byte-bounded LRU, ``_ByteLRU``: its
 ``_put`` holds the size checks, the refresh and the eviction loop for both.
@@ -19,7 +22,6 @@ from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
-from operator import attrgetter
 from typing import AbstractSet, NamedTuple
 
 from .traces import FunctionProfile
@@ -153,10 +155,21 @@ class HandlerCache(_ByteLRU):
             self._used -= entries.popitem(last=False)[1][0]
 
     def insert(self, function_id: str, footprint_bytes: int, paused_at_ms: int = 0) -> list[str]:
-        """Pause or re-pause at most-recent; return ids evicted, oldest first."""
+        """Pause or re-pause at most-recent; return ids evicted, oldest first.
+
+        A re-pause at the footprint already held evicts nothing, so it only
+        refreshes the entry.
+        """
         if paused_at_ms < self._newest_ms:
             raise ValueError(f"paused_at_ms {paused_at_ms} is earlier than the last, {self._newest_ms}")
-        evicted = self._put(function_id, footprint_bytes, paused_at_ms)
+        entries = self._entries
+        held = entries.get(function_id)
+        if held is not None and held[0] == footprint_bytes:
+            entries[function_id] = (footprint_bytes, paused_at_ms)
+            entries.move_to_end(function_id)
+            evicted = []
+        else:
+            evicted = self._put(function_id, footprint_bytes, paused_at_ms)
         self._newest_ms = paused_at_ms
         return evicted
 
@@ -166,11 +179,15 @@ class InstallCache(_ByteLRU):
 
     def lookup(self, packages: AbstractSet[str]) -> tuple[frozenset[str], frozenset[str]]:
         """Partition ``packages`` into (present, absent); hits move to most-recent in name order."""
+        if not packages:
+            return _NONE, _NONE
         found = self._entries.keys() & packages
         if not found:
             return _NONE, frozenset(packages)
         for p in sorted(found) if len(found) > 1 else found:
             self._entries.move_to_end(p)
+        if found == packages:
+            return frozenset(packages), _NONE
         hits = frozenset(found)
         return hits, frozenset(packages) - hits
 
@@ -185,12 +202,8 @@ class _ImportNode:
     parent_id: int | None
     rank: tuple[int, int, int]  # (len(packages), depth, -node_id): best_node takes the largest
     last_fork_ms: int
-    # children filed under the smallest package each adds to this node's set
-    children: dict[str, set[_ImportNode]]
-    key_package: str | None = None  # where the parent files this node; None for the root
-
-
-_rank = attrgetter("rank")
+    filed_under: str | None = None  # the largest package; None for the root, which is not filed
+    child_count: int = 0
 
 
 class ImportCacheTree:
@@ -200,6 +213,15 @@ class ImportCacheTree:
     strictly extends its parent's set. Forks must come from a node whose set
     is a subset of the request, never a superset, so a process with
     extraneous imports is never reused.
+
+    The tree keeps no child lists. Each non-root node is filed once, in a
+    flat index, under the largest package name in its set, and counts its
+    children, which is all that leaf status needs. A node fits a request
+    only if all of its packages are in it, so any one of them finds it: the
+    filing package changes the cost of a probe, never its answer. The
+    largest name is chosen because synthetic catalogs name packages in
+    popularity order, so the largest name in a set is its rarest package,
+    and a rare package's bucket is short.
 
     The eviction candidates, the non-root leaves, are kept in one ascending
     list of ``(last_fork_ms, -node_id)``: a node enters it when it becomes a
@@ -213,9 +235,9 @@ class ImportCacheTree:
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
         self.max_nodes = max_nodes
-        root = _ImportNode(self.ROOT_ID, frozenset(), None, (0, 0, -self.ROOT_ID), 0, {})
-        self._nodes: dict[int, _ImportNode] = {self.ROOT_ID: root}
-        self._by_packages: dict[frozenset[str], list[_ImportNode]] = {root.packages: [root]}
+        self._root = _ImportNode(self.ROOT_ID, frozenset(), None, (0, 0, -self.ROOT_ID), 0)
+        self._nodes: dict[int, _ImportNode] = {self.ROOT_ID: self._root}
+        self._filed: dict[str, list[_ImportNode]] = {}  # package -> the nodes filed under it
         self._next_id = 1
         self._leaves: list[tuple[int, int]] = []
 
@@ -240,42 +262,31 @@ class ImportCacheTree:
         Ties prefer the deepest node, then the lowest node_id. Returns the
         node and the packages still missing from it.
 
-        A node whose set is ``required`` itself beats every other fit, so
-        those are looked up by set first. Otherwise, a child's set contains
-        its parent's, so a node fits only if its parent does: the search
-        descends from the root into fitting children that have children of
-        their own. A child is filed under one package it adds, which a
-        fitting child's must be among ``required``, so only those files are
-        read.
+        Every node that fits is filed under one of ``required``'s packages,
+        so only those buckets are read. A node is tested for fit only when
+        it would outrank the best found so far.
         """
         required = frozenset(required)
-        exact = self._by_packages.get(required)
-        if exact:  # no node that fits is larger
-            return max(exact, key=_rank).node_id, _NONE
-        best = self._nodes[self.ROOT_ID]
-        stack = [best]
-        while stack:
-            children = stack.pop().children
-            for package in required:
-                for child in children.get(package, ()):
-                    if child.packages <= required:
-                        if child.children:
-                            stack.append(child)
-                        if child.rank > best.rank:
-                            best = child
+        filed = self._filed
+        best = self._root
+        for package in required:
+            if package in filed:
+                for node in filed[package]:
+                    if node.rank > best.rank and node.packages <= required:
+                        best = node
         return best.node_id, required - best.packages
 
     def touch(self, node_id: int, now_ms: int) -> None:
         """Record a fork from ``node_id`` for eviction recency."""
         node = self._nodes[node_id]
-        if not node.children and node_id != self.ROOT_ID:  # a leaf moves in the eviction order
+        if not node.child_count and node_id != self.ROOT_ID:  # a leaf moves in the eviction order
             leaves = self._leaves
             del leaves[bisect_left(leaves, (node.last_fork_ms, -node_id))]
             insort(leaves, (now_ms, -node_id))
         node.last_fork_ms = now_ms
 
     def insert(self, parent_node_id: int, package_set: AbstractSet[str], now_ms: int) -> int:
-        """Add a sleeping process under ``parent_node_id``.
+        """Add a sleeping process under ``parent_node_id``, filed under its largest package.
 
         The new set must strictly extend the parent's. When the node count
         exceeds the bound, leaves with the oldest fork time are evicted
@@ -288,28 +299,29 @@ class ImportCacheTree:
             raise ValueError("import tree hierarchy violated")
         node_id = self._next_id
         self._next_id += 1
-        key = min(package_set - parent.packages)
         rank = (len(package_set), parent.rank[1] + 1, -node_id)
-        node = nodes[node_id] = _ImportNode(node_id, package_set, parent_node_id, rank, now_ms, {}, key)
-        self._by_packages.setdefault(package_set, []).append(node)
+        key = max(package_set)
+        node = nodes[node_id] = _ImportNode(node_id, package_set, parent_node_id, rank, now_ms, key)
+        filed = self._filed
+        if key in filed:
+            filed[key].append(node)
+        else:
+            filed[key] = [node]
         leaves = self._leaves
-        if not parent.children and parent_node_id != self.ROOT_ID:
+        if not parent.child_count and parent_node_id != self.ROOT_ID:
             del leaves[bisect_left(leaves, (parent.last_fork_ms, -parent_node_id))]
-        parent.children.setdefault(key, set()).add(node)
+        parent.child_count += 1
         insort(leaves, (now_ms, -node_id))
-        while len(nodes) > self.max_nodes:
+        if len(nodes) > self.max_nodes:  # one node over the bound: one victim
             victim = nodes.pop(-leaves.pop(0)[1])  # forked from longest ago, highest id on ties
-            same = self._by_packages[victim.packages]
-            same.remove(victim)
-            if not same:
-                del self._by_packages[victim.packages]
+            bucket = filed[victim.filed_under]
+            bucket.remove(victim)
+            if not bucket:
+                del filed[victim.filed_under]
             above = nodes[victim.parent_id]
-            siblings = above.children[victim.key_package]
-            siblings.discard(victim)
-            if not siblings:
-                del above.children[victim.key_package]
-                if not above.children and above.node_id != self.ROOT_ID:
-                    insort(leaves, (above.last_fork_ms, -above.node_id))
+            above.child_count -= 1
+            if not above.child_count and above.node_id != self.ROOT_ID:
+                insort(leaves, (above.last_fork_ms, -above.node_id))
         return node_id
 
 
@@ -332,6 +344,7 @@ class CacheLookupResult(NamedTuple):
 
 
 _HANDLER_HIT = CacheLookupResult(Tier.HANDLER_HIT)
+_IMPORT_HIT, _INSTALL_HIT, _MISS = Tier.IMPORT_HIT, Tier.INSTALL_HIT, Tier.MISS  # read once: member lookups are slow
 
 
 def classify_request(
@@ -348,21 +361,16 @@ def classify_request(
     (``touch``) is left to the caller, which knows the fork time. Every
     handler hit returns the same (immutable) result object.
     """
-    if profile.function_id in handler:
+    if profile.function_id in handler._entries:
         return _HANDLER_HIT
     deps = profile.dependencies
     if imports is not None:
         node_id, remaining = imports.best_node(deps)
-        preimported = deps - remaining
+        preimported = deps - remaining if remaining else deps
     else:
         node_id, remaining, preimported = None, deps, _NONE
     preinstalled, cold = install.lookup(remaining)
-    if preimported:
-        tier = Tier.IMPORT_HIT
-    elif preinstalled:
-        tier = Tier.INSTALL_HIT
-    else:
-        tier = Tier.MISS
+    tier = _IMPORT_HIT if preimported else _INSTALL_HIT if preinstalled else _MISS
     return CacheLookupResult(tier, preimported, preinstalled, cold, node_id)
 
 

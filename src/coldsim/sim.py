@@ -13,6 +13,12 @@ hold a live instance; it counts queues only when every candidate is busy.
 Nothing here draws random numbers, so identical inputs always produce
 identical results.
 
+A handler hit is decided by one membership test after expiry: it builds no
+probe, and every hit shares one breakdown, an unpause. Only a handler miss
+is classified through the import tree and the install cache. Either way the
+instance is paused again at completion; a hit's re-pause only moves its
+entry, since it frees and takes no bytes.
+
 A run folds each request into the aggregates of its ``SimResult`` and keeps
 no outcome. A ``RequestOutcome`` is built only for an optional
 sink, such as the per-request CSV writer, as each request is simulated.
@@ -40,6 +46,7 @@ from operator import attrgetter
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .caches import (
+    CacheLookupResult,
     HandlerCache,
     ImportCacheTree,
     InstallCache,
@@ -147,6 +154,7 @@ class Worker:
 
 
 _busy_until = attrgetter("busy_until_ms")
+_AFFINITY = RoutingPolicy.HANDLER_AFFINITY  # read once: member lookups are slow
 
 
 class RequestOutcome(NamedTuple):
@@ -244,7 +252,7 @@ def _select_worker(
     the earliest-idle one wins and no queue is counted. ``candidates`` must
     be in ascending worker id; the choice is recorded in ``last_worker``.
     """
-    if policy is RoutingPolicy.HANDLER_AFFINITY:
+    if policy is _AFFINITY:
         holder = last_worker.get(function_id)
         if holder is not None and holder.handler.live(function_id, now_ms):
             return holder
@@ -300,9 +308,10 @@ def run(
     package_size = config.package_size_bytes
     last_worker: dict[str, Worker] = {}
     handler_hit = Tier.HANDLER_HIT
-    hit_key = (handler_hit, 0, 0, False)
-    # a breakdown depends only on these probe features, whose first is the tier, so
-    # equal ones share [breakdown, requests]
+    hit_breakdown = init_latency(CacheLookupResult(handler_hit), model)
+    hits = 0
+    # a miss's breakdown depends only on these probe features, whose first is the tier,
+    # so equal ones share [breakdown, requests]
     shared: dict[tuple, list] = {}
     for now, code in trace.rows():
         fid, profile, candidates, footprint = per_function[code]
@@ -312,13 +321,17 @@ def run(
             start = now
             worker._starts.clear()  # idle: every start it holds has passed, so it stays bounded
         worker.expire_handler(start)
-        probe = classify_request(profile, worker.handler, worker.install, worker.imports)
-        if probe.tier is handler_hit:
-            key = hit_key
+        handler = worker.handler
+        if fid in handler:
+            hits += 1
+            tier = handler_hit
+            breakdown = hit_breakdown
         else:
+            probe = classify_request(profile, handler, worker.install, worker.imports)
+            tier = probe.tier
             cold = probe.cold
             node = probe.forked_node_id
-            key = (probe.tier, len(cold), len(probe.preinstalled), node is not None)
+            key = (tier, len(cold), len(probe.preinstalled), node is not None)
             if cold:
                 for pkg in sorted(cold):
                     worker.install.insert(pkg, package_size)
@@ -326,22 +339,22 @@ def run(
                 worker.imports.touch(node, start)
                 if cold or probe.preinstalled:
                     worker.imports.insert(node, profile.dependencies, start)
-        entry = shared.get(key)
-        if entry is None:
-            entry = shared[key] = [init_latency(probe, model), 0]
-        entry[1] += 1
-        breakdown = entry[0]
+            entry = shared.get(key)
+            if entry is None:
+                entry = shared[key] = [init_latency(probe, model), 0]
+            entry[1] += 1
+            breakdown = entry[0]
         exec_ms = profile.exec_duration_ms
         completion = start + breakdown.total_ms + exec_ms
         worker.begin(start, completion)
-        worker.handler.insert(fid, footprint, completion)
+        handler.insert(fid, footprint, completion)
         if sink is not None:
             sink(
                 RequestOutcome(
                     timestamp_ms=now,
                     function_id=fid,
                     worker_id=worker.worker_id,
-                    tier=probe.tier,
+                    tier=tier,
                     breakdown=breakdown,
                     exec_ms=exec_ms,
                     shutdown_ms=shutdown_ms,
@@ -350,7 +363,9 @@ def run(
                     total_ms=breakdown.total_ms + exec_ms + shutdown_ms,
                 )
             )
-    return _summarize((key[0], b.total_ms, count) for key, (b, count) in shared.items())
+    groups = [(key[0], b.total_ms, count) for key, (b, count) in shared.items()]
+    groups.append((handler_hit, hit_breakdown.total_ms, hits))
+    return _summarize(groups)
 
 
 def _stack_distance_counts(codes: Iterable[int], distinct: int, depth: int) -> list[int]:

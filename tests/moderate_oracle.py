@@ -1,0 +1,70 @@
+"""Check ``run`` against the whole-run reference on the README's moderate workload.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python tests/moderate_oracle.py
+
+It generates the README's moderate workload (1,000 functions, 100,000
+requests over 1 h, seed 1), partitions it round-robin into 4 groups per
+runtime on 16 workers, and simulates it under the default configuration
+with ``coldsim.sim.run`` and with ``reference.reference_run``. It exits 1
+unless both give the same tier counts and the same sum of init latencies.
+
+The hypothesis tests compare the two on runs whose import trees stop at 4
+nodes; here the trees reach the default 64, so the import tree's index is
+checked at the size a real run gives it. The reference takes several times
+as long as ``run``, so this is kept out of the test suite.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+from time import perf_counter
+
+from reference import reference_run  # this script's directory is first on sys.path
+
+from coldsim import cli
+from coldsim.locality import Partition
+from coldsim.sim import SimConfig, run
+from coldsim.traces import load_profiles, load_trace
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path, profiles_path, partition_path = (str(Path(tmp) / name) for name in
+                                                     ("wl.csv", "wl_profiles.csv", "partition.json"))
+        for argv in (
+            ["generate", "--quiet", "--functions", "1000", "--requests", "100000", "--zipf", "1.1",
+             "--duration", "3600000", "--seed", "1", "--out", trace_path, "--profiles-out", profiles_path],
+            ["partition", profiles_path, trace_path, "--quiet", "--strategy", "round_robin",
+             "--groups-per-runtime", "4", "--workers", "16", "--out", partition_path],
+        ):
+            if cli.main(argv) != 0:
+                print(f"coldsim {argv[0]} failed")
+                return 1
+        trace, profiles = load_trace(trace_path), load_profiles(profiles_path)
+        config = SimConfig(Partition.from_dict(json.loads(Path(partition_path).read_text())))
+
+    start = perf_counter()
+    init_ms = []
+    result = run(trace, profiles, config, sink=lambda o: init_ms.append(o.breakdown.total_ms))
+    run_s = perf_counter() - start
+    start = perf_counter()
+    outcomes = reference_run(trace, profiles, config)
+    reference_s = perf_counter() - start
+
+    expected_counts = Counter(o.tier.value for o in outcomes)
+    counts = {tier: n for tier, n in result.tier_counts.items() if n}
+    expected_init_ms = sum(o.breakdown.total_ms for o in outcomes)
+    print(f"run {run_s:.1f} s, reference {reference_s:.1f} s")
+    print(f"tier counts {counts}, reference {dict(expected_counts)}")
+    print(f"sum of init ms {sum(init_ms)}, reference {expected_init_ms}")
+    return 0 if counts == expected_counts and sum(init_ms) == expected_init_ms else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

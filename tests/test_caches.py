@@ -370,10 +370,16 @@ def test_import_tree_matches_brute_force_oracle(max_nodes, ops):
         parents = {parent for _, parent, _, _ in oracle.nodes.values()}
         leaves = [n for n in oracle.nodes if n != oracle.ROOT_ID and n not in parents]
         assert tree._leaves == sorted((oracle.nodes[n][3], -n) for n in leaves)
-        # the exact-set index holds the current nodes and nothing else
-        indexed = sorted(node.node_id for same in tree._by_packages.values() for node in same)
-        assert indexed == tree.node_ids()
-        assert set(tree._by_packages) == {tree.packages(n) for n in indexed}
+        # the flat index files each current non-root node once, under one of its own packages,
+        # and holds nothing else and no empty bucket
+        filed = [(package, node) for package, bucket in tree._filed.items() for node in bucket]
+        assert all(tree._filed.values())
+        assert sorted(node.node_id for _, node in filed) == tree.node_ids()[1:]
+        for package, node in filed:
+            assert node is tree._nodes[node.node_id] and package in node.packages
+        # each node counts the children the oracle holds under it
+        for n in tree.node_ids():
+            assert tree._nodes[n].child_count == sum(parent == n for _, parent, _, _ in oracle.nodes.values())
 
 
 # --- classification -----------------------------------------------------------

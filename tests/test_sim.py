@@ -302,6 +302,57 @@ def test_groups_run_alone_add_up_to_the_whole_run(seed, requests, policy, keep_a
     assert sum(init_ms for _, init_ms in parts) == whole_init_ms
 
 
+def renamed(trace, profiles, config, function_name, package_name):
+    """The same run with every function id and every package renamed."""
+    profiles = [
+        dataclasses.replace(p, function_id=function_name(p.function_id),
+                            dependencies={package_name(d) for d in p.dependencies})
+        for p in profiles
+    ]
+    groups = [dataclasses.replace(g, function_ids={function_name(f) for f in g.function_ids})
+              for g in config.partition.groups]
+    config = dataclasses.replace(
+        config,
+        partition=Partition(groups, config.partition.total_workers),
+        footprint_overrides={function_name(f): size for f, size in config.footprint_overrides.items()},
+    )
+    trace = Trace(trace.stamps.tolist(), [function_name(trace.names[c]) for c in trace.codes.tolist()])
+    return trace, profiles, config
+
+
+RENAMED_RUNS = given(
+    st.integers(0, 2**32),
+    st.integers(0, 80),
+    st.sampled_from(RoutingPolicy),
+    st.sampled_from([None, 0, 5, 40, 400]),
+    st.sampled_from([0, 2, 4]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@RENAMED_RUNS
+def test_renaming_in_order_leaves_the_result_equal(seed, requests, policy, keep_alive_ms, import_max_nodes,
+                                                   overrides):
+    trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides)
+    prefixed = renamed(trace, profiles, config, "q-{}".format, "pkg-{}".format)
+    assert run(*prefixed) == run(trace, profiles, config)
+
+
+@settings(max_examples=100, deadline=None)
+@RENAMED_RUNS
+def test_reversing_package_order_leaves_the_result_equal_when_every_package_fits(
+        seed, requests, policy, keep_alive_ms, import_max_nodes, overrides):
+    # with no install eviction, package names reach only the import tree's filing choice, which
+    # changes the cost of a probe and never its answer; an install cache too small for every
+    # package makes the result depend on name order, since hits refresh in name order
+    trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides)
+    packages = sorted({d for p in profiles for d in p.dependencies})
+    config = dataclasses.replace(config, install_capacity_bytes=max(1, len(packages)) * config.package_size_bytes)
+    reverse = dict(zip(packages, reversed(packages)))
+    assert run(*renamed(trace, profiles, config, str, reverse.__getitem__)) == run(trace, profiles, config)
+
+
 @pytest.mark.parametrize("policy", list(RoutingPolicy))
 def test_idle_workers_keep_no_past_starts(policy):
     profiles = [make_profile("fn"), make_profile("other")]

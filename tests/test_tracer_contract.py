@@ -6,6 +6,7 @@ name, breaks traced benchmark runs; these tests make that fail here too.
 """
 
 import importlib.util
+import json
 
 import pytest
 
@@ -76,9 +77,14 @@ def test_traced_simulation_reaches_every_per_request_layer(tracer_module, tmp_pa
         "sim.expire_handler",
     ):
         assert tracer.calls[name][0] > 0, name
-    # per request: one expiry, one probe and one pause of the handler
-    for name in ("sim.expire_handler", "caches.classify_request", "caches.handler_insert"):
+    # per request: one expiry and one pause of the handler
+    for name in ("sim.expire_handler", "caches.handler_insert"):
         assert tracer.calls[name][0] == 2000, name
+    # a handler hit is decided before the probe: only the misses are classified
+    summary = json.loads(result.read_text())
+    hits = summary["tier_counts"]["HandlerHit"]
+    assert summary["requests"] == 2000 and 0 < hits < 2000
+    assert tracer.calls["caches.classify_request"][0] == summary["requests"] - hits
 
 
 def test_traced_sweep_makes_one_pass(tracer_module, tmp_path):
