@@ -339,8 +339,9 @@ def cmd_simulate(args) -> None:
     config = _build_sim_config(partition, payload)
     # the run streams per-request rows, so every output is opened before it; a run that fails keeps none
     with _writing(args, {"config": payload}) as streams:
-        sinks = [write_per_request_csv(streams["--per-request"])] if "--per-request" in streams else []
-        result = run(trace, profiles, config, *sinks)
+        per_request = streams.get("--per-request")
+        consumer = None if per_request is None else write_per_request_csv(per_request, trace, profiles, config)
+        result = run(trace, profiles, config, consumer)
         streams["--out"].write(result.to_json() + "\n")
 
 

@@ -19,9 +19,10 @@ is classified through the import tree and the install cache. Either way the
 instance is paused again at completion; a hit's re-pause only moves its
 entry, since it frees and takes no bytes.
 
-A run folds each request into the aggregates of its ``SimResult`` and keeps
-no outcome. A ``RequestOutcome`` is built only for an optional
-sink, such as the per-request CSV writer, as each request is simulated.
+A run counts requests per breakdown slot (slot 0 is a hit's unpause, each
+distinct miss breakdown takes the next), which gives its ``SimResult``, and
+keeps no outcome. An optional consumer, such as the per-request CSV writer,
+is handed each chunk of ``ROW_CHUNK`` requests as integer columns.
 
 ``simple_lru_hit_rate`` and ``sweep_cache_sizes`` implement the simplified
 evaluation model: a single global LRU keyed by function id, bypassing
@@ -43,7 +44,9 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import accumulate
 from operator import attrgetter
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .caches import (
     CacheLookupResult,
@@ -57,7 +60,7 @@ from .caches import (
     init_latency,
 )
 from .locality import Partition
-from .traces import FunctionProfile, Trace, index_profiles
+from .traces import MAX_TIMESTAMP_MS, ROW_CHUNK, FunctionProfile, Trace, format_rows, index_profiles, text_table
 
 DEFAULT_FOOTPRINT_BYTES = 256 * 1024 * 1024  # uniform per-instance footprint
 DEFAULT_PACKAGE_SIZE_BYTES = 10 * 1024 * 1024
@@ -157,25 +160,13 @@ _busy_until = attrgetter("busy_until_ms")
 _AFFINITY = RoutingPolicy.HANDLER_AFFINITY  # read once: member lookups are slow
 
 
-class RequestOutcome(NamedTuple):
-    timestamp_ms: int
-    function_id: str
-    worker_id: int
-    tier: Tier
-    breakdown: LatencyBreakdown
-    exec_ms: int
-    shutdown_ms: int
-    start_ms: int
-    completion_ms: int
-    total_ms: int
-
-
-Sink = Callable[[RequestOutcome], None]
+# (first row, worker ids, slots, start times, (tier, breakdown) per slot) of a chunk of requests
+ChunkConsumer = Callable[[int, list[int], list[int], list[int], list[tuple[Tier, LatencyBreakdown]]], None]
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Aggregates of one run; ``run`` passes per-request outcomes to a sink."""
+    """Aggregates of one run; ``run`` hands per-request outcomes only to a consumer."""
 
     requests: int
     tier_counts: dict[str, int]
@@ -217,19 +208,41 @@ def _summarize(groups: Iterable[tuple[Tier, int, int]]) -> SimResult:
     )
 
 
-def write_per_request_csv(stream: IO[str]) -> Sink:
-    """Write the CSV header to ``stream``; return a ``run`` sink that writes the rows."""
+def write_per_request_csv(
+    stream: IO[str], trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig
+) -> ChunkConsumer:
+    """Write the CSV header to ``stream``; return a ``run`` consumer that formats each chunk's rows at once."""
     stream.write(PER_REQUEST_CSV_HEADER + "\n")
+    catalog = index_profiles(profiles)
+    # ``run`` refuses a function with no profile before it hands out a row
+    execs = [catalog[fid].exec_duration_ms if fid in catalog else 0 for fid in trace.names]
+    shutdown = config.latency_model.shutdown_ms
+    spare = MAX_TIMESTAMP_MS - max(execs, default=0) - shutdown  # the init a total can add within int64
+    if spare < 0:
+        raise ValueError(f"a per-request total_ms would pass {MAX_TIMESTAMP_MS}")
+    exec_ms = np.array(execs, dtype=np.int64)  # per id code
+    ids = text_table([f",{fid}," for fid in trace.names], trace.stamps.max(initial=0))
 
-    def write_row(o: RequestOutcome) -> None:
-        b = o.breakdown
-        stream.write(
-            f"{o.timestamp_ms},{o.function_id},{o.worker_id},{o.tier.value},"
-            f"{b.load_ms},{b.download_ms},{b.install_ms},{b.import_ms},"
-            f"{b.create_ms},{o.exec_ms},{o.shutdown_ms},{o.total_ms}\n"
-        )
+    def write_chunk(first, worker_ids, slots, starts, breakdowns):
+        init_ms = [b.total_ms for _, b in breakdowns]
+        if max(init_ms) > spare:
+            raise ValueError(f"a per-request total_ms would pass {MAX_TIMESTAMP_MS}")
+        phases = [f",{tier.value},{b.load_ms},{b.download_ms},{b.install_ms},{b.import_ms},{b.create_ms},"
+                  for tier, b in breakdowns]
+        end = first + len(slots)
+        codes = trace.codes[first:end]
+        workers, slots = np.array(worker_ids), np.array(slots)
+        execs = exec_ms[codes]
+        totals = np.array(init_ms)[slots] + execs + shutdown
+        once = np.zeros(len(slots), dtype=np.int8)  # each row takes a one-text table's only text
+        stream.writelines(format_rows([
+            (trace.stamps[first:end], ids, codes),
+            (workers, text_table(phases, workers.max()), slots),
+            (execs, text_table([f",{shutdown},"], execs.max()), once),
+            (totals, text_table(["\n"], totals.max()), once),
+        ]))
 
-    return write_row
+    return write_chunk
 
 
 def _select_worker(
@@ -277,9 +290,9 @@ def build_workers(config: SimConfig) -> dict[int, list[Worker]]:
 
 
 def run(
-    trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig, sink: Sink | None = None
+    trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig, consumer: ChunkConsumer | None = None
 ) -> SimResult:
-    """Simulate the full trace, passing each outcome to ``sink``; see the module docstring."""
+    """Simulate the full trace, handing each chunk's outcomes to ``consumer``; see the module docstring."""
     catalog = index_profiles(profiles)
     unprofiled = sorted(config.footprint_overrides.keys() - catalog.keys())
     if unprofiled:
@@ -304,71 +317,61 @@ def run(
     ]
     policy = config.routing_policy
     model = config.latency_model
-    shutdown_ms = model.shutdown_ms
     package_size = config.package_size_bytes
     last_worker: dict[str, Worker] = {}
-    handler_hit = Tier.HANDLER_HIT
-    hit_breakdown = init_latency(CacheLookupResult(handler_hit), model)
-    hits = 0
-    # a miss's breakdown depends only on these probe features, whose first is the tier,
-    # so equal ones share [breakdown, requests]
-    shared: dict[tuple, list] = {}
-    for now, code in trace.rows():
-        fid, profile, candidates, footprint = per_function[code]
-        worker = _select_worker(candidates, fid, now, policy, last_worker)
-        start = worker.busy_until_ms
-        if start <= now:
-            start = now
-            worker._starts.clear()  # idle: every start it holds has passed, so it stays bounded
-        worker.expire_handler(start)
-        handler = worker.handler
-        if fid in handler:
-            hits += 1
-            tier = handler_hit
-            breakdown = hit_breakdown
-        else:
-            probe = classify_request(profile, handler, worker.install, worker.imports)
-            tier = probe.tier
-            cold = probe.cold
-            node = probe.forked_node_id
-            key = (tier, len(cold), len(probe.preinstalled), node is not None)
-            if cold:
-                for pkg in sorted(cold):
-                    worker.install.insert(pkg, package_size)
-            if node is not None:
-                worker.imports.touch(node, start)
-                if cold or probe.preinstalled:
-                    worker.imports.insert(node, profile.dependencies, start)
-            entry = shared.get(key)
-            if entry is None:
-                entry = shared[key] = [init_latency(probe, model), 0]
-            entry[1] += 1
-            breakdown = entry[0]
-        exec_ms = profile.exec_duration_ms
-        completion = start + breakdown.total_ms + exec_ms
-        worker.begin(start, completion)
-        handler.insert(fid, footprint, completion)
-        if sink is not None:
-            sink(
-                RequestOutcome(
-                    timestamp_ms=now,
-                    function_id=fid,
-                    worker_id=worker.worker_id,
-                    tier=tier,
-                    breakdown=breakdown,
-                    exec_ms=exec_ms,
-                    shutdown_ms=shutdown_ms,
-                    start_ms=start,
-                    completion_ms=completion,
-                    total_ms=breakdown.total_ms + exec_ms + shutdown_ms,
-                )
-            )
-    groups = [(key[0], b.total_ms, count) for key, (b, count) in shared.items()]
-    groups.append((handler_hit, hit_breakdown.total_ms, hits))
-    return _summarize(groups)
+    # slot 0 is a hit's unpause; a miss's breakdown depends only on the probe features
+    # that key ``slot_of``, whose first is the tier, so equal ones share a slot
+    breakdowns = [(Tier.HANDLER_HIT, init_latency(CacheLookupResult(Tier.HANDLER_HIT), model))]
+    init_ms = [breakdowns[0][1].total_ms]
+    requests = [0]
+    slot_of: dict[tuple, int] = {}
+    worker_ids, slots, starts = [], [], []  # a chunk's columns, kept only for a consumer
+    for first in range(0, len(trace), ROW_CHUNK):
+        end = first + ROW_CHUNK
+        for now, code in zip(trace.stamps[first:end].tolist(), trace.codes[first:end].tolist()):
+            fid, profile, candidates, footprint = per_function[code]
+            worker = _select_worker(candidates, fid, now, policy, last_worker)
+            start = worker.busy_until_ms
+            if start <= now:
+                start = now
+                worker._starts.clear()  # idle: every start it holds has passed, so it stays bounded
+            worker.expire_handler(start)
+            handler = worker.handler
+            if fid in handler:
+                slot = 0
+            else:
+                probe = classify_request(profile, handler, worker.install, worker.imports)
+                cold = probe.cold
+                node = probe.forked_node_id
+                key = (probe.tier, len(cold), len(probe.preinstalled), node is not None)
+                if cold:
+                    for pkg in sorted(cold):
+                        worker.install.insert(pkg, package_size)
+                if node is not None:
+                    worker.imports.touch(node, start)
+                    if cold or probe.preinstalled:
+                        worker.imports.insert(node, profile.dependencies, start)
+                slot = slot_of.get(key)
+                if slot is None:
+                    slot = slot_of[key] = len(breakdowns)
+                    breakdowns.append((probe.tier, init_latency(probe, model)))
+                    init_ms.append(breakdowns[slot][1].total_ms)
+                    requests.append(0)
+            requests[slot] += 1
+            completion = start + init_ms[slot] + profile.exec_duration_ms
+            worker.begin(start, completion)
+            handler.insert(fid, footprint, completion)
+            if consumer is not None:
+                worker_ids.append(worker.worker_id)
+                slots.append(slot)
+                starts.append(start)
+        if consumer is not None:
+            consumer(first, worker_ids, slots, starts, breakdowns)
+            worker_ids, slots, starts = [], [], []
+    return _summarize((tier, b.total_ms, count) for (tier, b), count in zip(breakdowns, requests))
 
 
-def _stack_distance_counts(codes: Iterable[int], distinct: int, depth: int) -> list[int]:
+def _stack_distance_counts(codes: np.ndarray, distinct: int, depth: int) -> list[int]:
     """Re-references counted by LRU stack distance, for distances below ``depth``.
 
     ``codes`` are the accessed ids as codes in ``range(distinct)``.
@@ -382,18 +385,19 @@ def _stack_distance_counts(codes: Iterable[int], distinct: int, depth: int) -> l
     last = [-1] * distinct
     times: list[int] = []
     counts: list[int] = []
-    for now, code in enumerate(codes):
-        prev = last[code]
-        if prev >= 0 and prev >= times[0]:
-            k = bisect_left(times, prev)
-            counts[len(times) - 1 - k] += 1
-            del times[k]
-        elif len(times) == depth:
-            del times[0]  # that id has fallen out of the largest cache
-        else:
-            counts.append(0)
-        times.append(now)
-        last[code] = now
+    for first in range(0, len(codes), ROW_CHUNK):
+        for now, code in enumerate(codes[first:first + ROW_CHUNK].tolist(), first):
+            prev = last[code]
+            if prev >= 0 and prev >= times[0]:
+                k = bisect_left(times, prev)
+                counts[len(times) - 1 - k] += 1
+                del times[k]
+            elif len(times) == depth:
+                del times[0]  # that id has fallen out of the largest cache
+            else:
+                counts.append(0)
+            times.append(now)
+            last[code] = now
     return counts
 
 
@@ -423,7 +427,7 @@ def sweep_cache_sizes(
         return []
     if not len(trace):
         raise ValueError("empty trace")
-    counts = _stack_distance_counts(trace.code_rows(), len(trace.names), max(sizes_bytes) // footprint_bytes)
+    counts = _stack_distance_counts(trace.codes, len(trace.names), max(sizes_bytes) // footprint_bytes)
     hits = list(accumulate(counts, initial=0))  # hits[c]: hits of a c-entry LRU, c <= len(counts)
     n = len(trace)
     return [(size, hits[min(size // footprint_bytes, len(counts))] / n) for size in sorted(sizes_bytes)]

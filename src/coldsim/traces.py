@@ -23,11 +23,11 @@ with no Python statement per row; any other block is parsed row by row, and
 that loop alone defines which rows are valid and what each error says.
 Both key one map by each id's UTF-8 bytes, decoded once after the last block.
 
-The trace writer is the parse's mirror. A trace is formatted by
-numpy passes, a bounded piece of rows at a time: each stamp's digits four
-at a time from a table of the 10,000 four-digit ASCII words, each id's
-bytes from a table with one row per distinct id. Each writer checks every
-name before it writes anything.
+``format_rows`` formats both bulk CSVs, a trace and a simulation's
+per-request rows, by numpy passes over a bounded piece of rows at a time:
+each integer's digits four at a time from a table of the 10,000 four-digit
+ASCII words, the text after it from a table with one row per distinct text.
+Each writer checks every name before it writes anything.
 """
 
 from __future__ import annotations
@@ -133,14 +133,6 @@ class Trace:
     def __repr__(self) -> str:
         return f"Trace(<{len(self)} rows of {len(self.names)} functions>)"
 
-    def rows(self) -> Iterator[tuple[int, int]]:
-        """(timestamp_ms, id code) of each row in order, converted a chunk at a time."""
-        return zip(_walk(self.stamps), _walk(self.codes))
-
-    def code_rows(self) -> Iterator[int]:
-        """The id code of each row in order, converted a chunk at a time."""
-        return _walk(self.codes)
-
     @property
     def timestamps_ms(self) -> tuple[int, ...]:
         """The timestamp column as a tuple, built on each access."""
@@ -150,11 +142,6 @@ class Trace:
     def function_ids(self) -> tuple[str, ...]:
         """The id column as a tuple of the shared name strings, built on each access."""
         return tuple(np.array(self.names, dtype=object)[self.codes].tolist())
-
-
-def _walk(column: np.ndarray) -> Iterator[int]:
-    """The column's values in order as Python ints, converted ``ROW_CHUNK`` at a time."""
-    return chain.from_iterable(column[start:start + ROW_CHUNK].tolist() for start in range(0, len(column), ROW_CHUNK))
 
 
 @dataclass(frozen=True, slots=True)
@@ -431,36 +418,42 @@ def check_profile_name(name: str) -> str:
     return name
 
 
-def _matrix_rows(trace: Trace) -> Iterator[str]:
-    """The trace's rows, ``f"{stamp},{id}\n"`` each, by numpy passes.
-
-    A piece is a matrix of ``width``-byte rows, ``[stamp as digits with
-    leading zeros | ",<id>\n" in UTF-8 | zero padding]``, from which a
-    keep-mask of each row's columns, built from lengths as an id may hold
-    NUL, drops the leading zeros and the padding. A piece holds at most
-    ``_ROW_BYTES`` of matrix or one row, so a long id makes pieces short.
-    """
-    if not len(trace):
-        return
-    suffixes = [f",{name}\n".encode("utf-8", "surrogatepass") for name in trace.names]
-    digits = len(str(trace.stamps[-1]))  # the stamps are sorted: the last is the widest
-    width = digits + max(map(len, suffixes))
-    table = np.frombuffer(
-        b"".join([bytes(digits) + suffix.ljust(width - digits, b"\0") for suffix in suffixes]), dtype=np.uint8
-    ).reshape(len(suffixes), width)
+def text_table(texts: Sequence[str], widest: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``format_rows``'s table of ``texts`` after values up to ``widest``: a matrix of rows, each a
+    placeholder of ``widest``'s digit count, a text in UTF-8 and NUL padding; each row's end; the digit count."""
+    digits = len(str(widest))
+    encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
+    width = digits + max(map(len, encoded), default=0)
+    matrix = np.frombuffer(
+        b"".join([bytes(digits) + text.ljust(width - digits, b"\0") for text in encoded]), dtype=np.uint8
+    ).reshape(len(encoded), width)
     column_type = np.min_scalar_type(width)  # uint8 for any row of up to 255 bytes
-    ends = np.array([digits + len(suffix) for suffix in suffixes], dtype=column_type)
-    columns = np.arange(width, dtype=column_type)
-    rows = max(1, _ROW_BYTES // width)
-    for start in range(0, len(trace), rows):
-        stamps = trace.stamps[start:start + rows]
-        codes = trace.codes[start:start + rows]
-        matrix = table[codes]
-        matrix[:, :digits] = _ascii_digits(stamps, digits)
-        first = (digits - 1 - np.searchsorted(_POWERS_OF_TEN, stamps, side="right")).astype(column_type)
-        # first <= column < end, as one unsigned compare: columns before ``first`` wrap past ``width``
-        keep = columns - first[:, None] < (ends[codes] - first)[:, None]
-        yield matrix[keep].tobytes().decode("utf-8", "surrogatepass")
+    return matrix, np.array([digits + len(text) for text in encoded], dtype=column_type), digits
+
+
+def format_rows(pairs: Sequence[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, int], np.ndarray]]) -> Iterator[str]:
+    """Rows of text by numpy passes; row ``i`` is ``f"{values[i]}{texts[codes[i]]}"`` over ``pairs``.
+
+    A pair is non-negative ``values``, a ``text_table`` whose placeholder
+    holds each, and ``codes`` into it. A piece of rows is a matrix, per pair
+    ``[value's digits with leading zeros | text | NUL padding]``; a keep-mask
+    built from lengths, as a text may hold NUL, drops the zeros and padding.
+    A piece holds at most ``_ROW_BYTES`` of matrix, or one row.
+    """
+    rows = max(1, _ROW_BYTES // sum(matrix.shape[1] for _, (matrix, _, _), _ in pairs))
+    for start in range(0, len(pairs[0][0]), rows):
+        pieces, keeps = [], []
+        for values, (table, ends, digits), codes in pairs:
+            values, codes = values[start:start + rows], codes[start:start + rows]
+            piece = table[codes]
+            piece[:, :digits] = _ascii_digits(values, digits)
+            first = (digits - 1 - np.searchsorted(_POWERS_OF_TEN, values, side="right")).astype(ends.dtype)
+            # first <= column < end, as one unsigned compare: columns before ``first`` wrap past the width
+            keeps.append(np.arange(table.shape[1], dtype=ends.dtype) - first[:, None] < (ends[codes] - first)[:, None])
+            pieces.append(piece)
+        if len(pairs) > 1:  # one pair, as the trace writer's, is kept without a copy
+            pieces, keeps = [np.hstack(pieces)], [np.hstack(keeps)]
+        yield pieces[0][keeps[0]].tobytes().decode("utf-8", "surrogatepass")
 
 
 def _ascii_digits(values: np.ndarray, width: int) -> np.ndarray:
@@ -478,7 +471,8 @@ def write_trace(trace: Trace, stream: IO[str]) -> None:
     for function_id in trace.names:  # each distinct id once, in sorted order
         _check_identifier(function_id, _ROW_SEPARATORS)
     stream.write(TRACE_HEADER + "\n")
-    stream.writelines(_matrix_rows(trace))
+    table = text_table([f",{name}\n" for name in trace.names], trace.stamps.max(initial=0))
+    stream.writelines(format_rows([(trace.stamps, table, trace.codes)]))
 
 
 def check_exponent(exponent: float) -> float:

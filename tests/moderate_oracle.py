@@ -8,7 +8,9 @@ It generates the README's moderate workload (1,000 functions, 100,000
 requests over 1 h, seed 1), partitions it round-robin into 4 groups per
 runtime on 16 workers, and simulates it under the default configuration
 with ``coldsim.sim.run`` and with ``reference.reference_run``. It exits 1
-unless both give the same tier counts and the same sum of init latencies.
+unless ``run``'s per-request CSV equals, byte for byte, the one
+``reference.reference_per_request_text`` writes from the reference's
+outcomes.
 
 The hypothesis tests compare the two on runs whose import trees stop at 4
 nodes; here the trees reach the default 64, so the import tree's index is
@@ -18,6 +20,7 @@ as long as ``run``, so this is kept out of the test suite.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 import tempfile
@@ -25,11 +28,11 @@ from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
-from reference import reference_run  # this script's directory is first on sys.path
+from reference import reference_per_request_text, reference_run  # this script's directory is first on sys.path
 
 from coldsim import cli
 from coldsim.locality import Partition
-from coldsim.sim import SimConfig, run
+from coldsim.sim import SimConfig, run, write_per_request_csv
 from coldsim.traces import load_profiles, load_trace
 
 
@@ -50,20 +53,22 @@ def main() -> int:
         config = SimConfig(Partition.from_dict(json.loads(Path(partition_path).read_text())))
 
     start = perf_counter()
-    init_ms = []
-    result = run(trace, profiles, config, sink=lambda o: init_ms.append(o.breakdown.total_ms))
+    buffer = io.StringIO()
+    result = run(trace, profiles, config, write_per_request_csv(buffer, trace, profiles, config))
     run_s = perf_counter() - start
     start = perf_counter()
     outcomes = reference_run(trace, profiles, config)
     reference_s = perf_counter() - start
 
-    expected_counts = Counter(o.tier.value for o in outcomes)
+    text, expected_text = buffer.getvalue(), reference_per_request_text(outcomes)
+    lines, expected_lines = text.splitlines(), expected_text.splitlines()
+    differ = next((i for i, (line, expected) in enumerate(zip(lines, expected_lines)) if line != expected), None)
     counts = {tier: n for tier, n in result.tier_counts.items() if n}
-    expected_init_ms = sum(o.breakdown.total_ms for o in outcomes)
     print(f"run {run_s:.1f} s, reference {reference_s:.1f} s")
-    print(f"tier counts {counts}, reference {dict(expected_counts)}")
-    print(f"sum of init ms {sum(init_ms)}, reference {expected_init_ms}")
-    return 0 if counts == expected_counts and sum(init_ms) == expected_init_ms else 1
+    print(f"tier counts {counts}, reference {dict(Counter(o.tier.value for o in outcomes))}")
+    print(f"per-request CSV {len(text)} characters in {len(lines)} lines, reference {len(expected_text)} in "
+          f"{len(expected_lines)}" + ("" if differ is None else f"; line {differ + 1} differs"))
+    return 0 if text == expected_text else 1
 
 
 if __name__ == "__main__":

@@ -13,9 +13,10 @@ import statistics
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
-from coldsim.caches import CacheLookupResult, Tier, init_latency
-from coldsim.sim import RequestOutcome, RoutingPolicy
+from coldsim.caches import CacheLookupResult, LatencyBreakdown, Tier, init_latency
+from coldsim.sim import PER_REQUEST_CSV_HEADER, RoutingPolicy
 from coldsim.traces import TRACE_HEADER, Trace, TraceParseError
 
 
@@ -297,6 +298,21 @@ class ReferenceInstallLRU:
             self.items.pop(0)
 
 
+class RequestOutcome(NamedTuple):
+    """One request of a run, as the per-request CSV and the tests read it."""
+
+    timestamp_ms: int
+    function_id: str
+    worker_id: int
+    tier: Tier
+    breakdown: LatencyBreakdown
+    exec_ms: int
+    shutdown_ms: int
+    start_ms: int
+    completion_ms: int
+    total_ms: int
+
+
 class _ReferenceWorker:
     def __init__(self, worker_id: int, config):
         self.worker_id = worker_id
@@ -392,6 +408,20 @@ def reference_summary(outcomes) -> dict:
         p99_init_ms=float(init[max(0, math.ceil(0.99 * n) - 1)]),
         cold_start_fraction=1.0 - rates[Tier.HANDLER_HIT.value],
     )
+
+
+def reference_per_request_text(outcomes) -> str:
+    """A run's per-request CSV text, one f-string per outcome: the definition
+    that the per-request writer reproduces."""
+    rows = []
+    for o in outcomes:
+        b = o.breakdown
+        rows.append(
+            f"{o.timestamp_ms},{o.function_id},{o.worker_id},{o.tier.value},"
+            f"{b.load_ms},{b.download_ms},{b.install_ms},{b.import_ms},"
+            f"{b.create_ms},{o.exec_ms},{o.shutdown_ms},{o.total_ms}\n"
+        )
+    return PER_REQUEST_CSV_HEADER + "\n" + "".join(rows)
 
 
 def reference_parse_trace(stream) -> Trace:

@@ -79,7 +79,7 @@ def test_simulation_outputs_are_byte_identical(workload, case):
         **overrides,
     )
     buffer = io.StringIO()
-    result = run(trace, profiles, config, sink=write_per_request_csv(buffer))
+    result = run(trace, profiles, config, write_per_request_csv(buffer, trace, profiles, config))
     assert hashlib.sha256(result.to_json().encode()).hexdigest() == json_digest
     assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == csv_digest
 

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import os
 import random
 import re
 import tracemalloc
@@ -24,6 +25,7 @@ from coldsim.sim import (
 )
 from coldsim.caches import LatencyModel, Tier
 from coldsim.traces import (
+    MAX_TIMESTAMP_MS,
     FunctionProfile,
     SyntheticTraceSpec,
     Trace,
@@ -34,8 +36,10 @@ from coldsim.traces import (
 
 from reference import (
     ReferenceQueue,
+    RequestOutcome,
     reference_lru_hit_rate,
     reference_lru_hits,
+    reference_per_request_text,
     reference_run,
     reference_summary,
 )
@@ -52,10 +56,35 @@ def make_trace(*stamped_ids):
     return Trace(tuple(ts for ts, _ in stamped_ids), tuple(fid for _, fid in stamped_ids))
 
 
+def run_outcomes(trace, profiles, config):
+    """The run's result and each request's ``RequestOutcome``, expanded from the chunks ``run`` hands out."""
+    catalog = {p.function_id: p for p in profiles}
+    shutdown_ms = config.latency_model.shutdown_ms
+    outcomes = []
+
+    def expand(first, worker_ids, slots, starts, breakdowns):
+        assert first == len(outcomes) and 0 < len(slots) <= sim.ROW_CHUNK
+        assert len(worker_ids) == len(slots) == len(starts)
+        for row, worker_id, slot, start in zip(range(first, first + len(slots)), worker_ids, slots, starts):
+            tier, breakdown = breakdowns[slot]
+            fid = trace.names[trace.codes[row]]
+            exec_ms = catalog[fid].exec_duration_ms
+            outcomes.append(RequestOutcome(
+                int(trace.stamps[row]), fid, worker_id, tier, breakdown, exec_ms, shutdown_ms, start,
+                start + breakdown.total_ms + exec_ms, breakdown.total_ms + exec_ms + shutdown_ms,
+            ))
+
+    return run(trace, profiles, config, expand), outcomes
+
+
 def outcomes_of(trace, profiles, config):
-    collected = []
-    run(trace, profiles, config, sink=collected.append)
-    return collected
+    return run_outcomes(trace, profiles, config)[1]
+
+
+def per_request_text(trace, profiles, config):
+    buffer = io.StringIO()
+    run(trace, profiles, config, write_per_request_csv(buffer, trace, profiles, config))
+    return buffer.getvalue()
 
 
 def single_worker_setup(deps=("x",), exec_ms=63, **config_overrides):
@@ -107,8 +136,7 @@ def test_infinite_keep_alive_reduces_to_capacity_lru():
     )
     sequence = [rnd.choice(ids) for _ in range(600)]
     trace = Trace(tuple(range(len(sequence))), tuple(sequence))
-    outcomes = []
-    result = run(trace, profiles, config, sink=outcomes.append)
+    result, outcomes = run_outcomes(trace, profiles, config)
     expected = reference_lru_hits(sequence, 3)
     assert [o.tier is Tier.HANDLER_HIT for o in outcomes] == expected
     # the handler tier's OrderedDict LRU and the sweep's stack-distance count agree exactly
@@ -157,8 +185,9 @@ def busy_scenario(seed=23, policy=RoutingPolicy.HANDLER_AFFINITY, requests=300):
 def test_run_is_deterministic():
     trace, profiles, config = busy_scenario()
     out1, out2 = io.StringIO(), io.StringIO()
-    first = run(trace, profiles, config, sink=write_per_request_csv(out1))
-    second = run(trace, profiles, busy_scenario()[2], sink=write_per_request_csv(out2))
+    again = busy_scenario()[2]
+    first = run(trace, profiles, config, write_per_request_csv(out1, trace, profiles, config))
+    second = run(trace, profiles, again, write_per_request_csv(out2, trace, profiles, again))
     assert first.to_json() == second.to_json()
     assert out1.getvalue() == out2.getvalue()
 
@@ -170,8 +199,7 @@ def test_run_is_deterministic():
 @example(seed=1, requests=3, policy=RoutingPolicy.LEAST_LOADED)
 def test_run_aggregates_match_sorting_oracle(seed, requests, policy):
     trace, profiles, config = busy_scenario(seed, policy, requests)
-    collected = []
-    result = run(trace, profiles, config, sink=collected.append)
+    result, collected = run_outcomes(trace, profiles, config)
     assert dataclasses.asdict(result) == reference_summary(collected)
 
 
@@ -227,7 +255,22 @@ def test_run_matches_whole_run_reference(seed, requests, policy, keep_alive_ms, 
                                          overrides):
     trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes,
                                         overrides)
-    assert outcomes_of(trace, profiles, config) == reference_run(trace, profiles, config)
+    expected = reference_run(trace, profiles, config)
+    for chunk in (sim.ROW_CHUNK, 1, 7):  # rows handed out one at a time, and in chunks that split a run's rows
+        with mock.patch.object(sim, "ROW_CHUNK", chunk):
+            assert outcomes_of(trace, profiles, config) == expected
+            assert per_request_text(trace, profiles, config) == reference_per_request_text(expected)
+
+
+def test_per_request_text_matches_reference_for_non_ascii_ids_and_zero_exec():
+    trace, profiles, config = small_run(3, 80, RoutingPolicy.HANDLER_AFFINITY, 40, 2, True)
+    trace, profiles, config = renamed(trace, profiles, config, "фн-{}-\U0001f600".format, "пакет-{}".format)
+    assert not all(fid.isascii() for fid in trace.names)
+    expected = reference_run(trace, profiles, config)
+    assert any(o.exec_ms == 0 for o in expected)
+    for chunk in (sim.ROW_CHUNK, 1, 7):
+        with mock.patch.object(sim, "ROW_CHUNK", chunk):
+            assert per_request_text(trace, profiles, config) == reference_per_request_text(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,9 +313,8 @@ SMALL_RUNS = given(
 
 
 def tiers_and_init_ms(trace, profiles, config):
-    """The run's tier counts and the sum of its init latencies, read from a sink."""
-    outcomes = []
-    result = run(trace, profiles, config, sink=outcomes.append)
+    """The run's tier counts and the sum of its init latencies, read from its outcomes."""
+    result, outcomes = run_outcomes(trace, profiles, config)
     return result.tier_counts, sum(o.breakdown.total_ms for o in outcomes)
 
 
@@ -291,7 +333,7 @@ def test_groups_run_alone_add_up_to_the_whole_run(seed, requests, policy, keep_a
                                                   overrides):
     # groups share no worker and no cache, so each group on its own requests runs as it does in the whole
     trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides)
-    rows = [(ts, trace.names[c]) for ts, c in trace.rows()]
+    rows = list(zip(trace.timestamps_ms, trace.function_ids))
     parts = []
     for group in config.partition.groups:
         own = [(ts, fid) for ts, fid in rows if fid in group.function_ids]
@@ -361,18 +403,23 @@ def test_idle_workers_keep_no_past_starts(policy):
     # arrivals far apart: every worker is idle at every arrival, and affinity always hits
     trace = make_trace(*((i * 10**6, ("fn", "other")[i % 3 == 0]) for i in range(300)))
     workers = []
+    begin = sim.Worker.begin
+    begun = []
+
+    def checked_begin(worker, start_ms, completion_ms):  # after every request's start is recorded
+        begin(worker, start_ms, completion_ms)
+        begun.append(start_ms)
+        assert max(len(w._starts) for w in workers) <= 1
 
     def building(config):
         pools = build_workers(config)
         workers.extend(w for pool in pools.values() for w in pool)
         return pools
 
-    def check(outcome):
-        assert max(len(w._starts) for w in workers) <= 1
-
-    with mock.patch.object(sim, "build_workers", building):
-        run(trace, profiles, config, sink=check)
+    with mock.patch.object(sim, "build_workers", building), mock.patch.object(sim.Worker, "begin", checked_begin):
+        run(trace, profiles, config)
     assert len(workers) == 2
+    assert len(begun) == len(trace)
 
 
 def test_affinity_checks_liveness_at_arrival_and_expires_at_start():
@@ -405,6 +452,25 @@ def test_run_without_sink_keeps_no_per_request_state():
         tracemalloc.stop()
     assert result.requests == 50_000
     assert peak < MIB, f"run peaked at {peak / MIB:.2f} MiB"
+
+
+def test_per_request_csv_holds_one_chunk_of_rows():
+    trace = generate_synthetic(SyntheticTraceSpec(40, 50_000, 1.1, 3_600_000, seed=5))
+    profiles = synthesize_profiles(trace.function_ids, catalog_size=40, deps_per_function=(0, 5), seed=5)
+    config = SimConfig(partition=partition_round_robin(profiles, 2, 4, request_counts(trace)))
+    # a chunk's three int lists, its numpy columns and its row text take well under 512 bytes a row;
+    # 50,000 rows held whole, as lists or as one formatted piece, take about twice this or more
+    bound = sim.ROW_CHUNK * 512
+    assert len(trace) > 10 * sim.ROW_CHUNK
+    with open(os.devnull, "w", encoding="utf-8") as discard:
+        tracemalloc.start()
+        try:
+            result = run(trace, profiles, config, write_per_request_csv(discard, trace, profiles, config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert result.requests == 50_000
+    assert peak < bound, f"run with the per-request CSV peaked at {peak / MIB:.2f} MiB"
 
 
 def test_tier_counts_and_rates_conserve():
@@ -447,7 +513,7 @@ def test_affinity_reuses_the_holding_worker():
 
 def outputs_of(trace, profiles, config):
     buffer = io.StringIO()
-    result = run(trace, profiles, config, sink=write_per_request_csv(buffer))
+    result = run(trace, profiles, config, write_per_request_csv(buffer, trace, profiles, config))
     return result.to_json(), buffer.getvalue()
 
 
@@ -737,9 +803,19 @@ def test_sweep_memory_is_bounded_by_distinct_ids_not_capacity():
 
 def test_per_request_csv_shape():
     prof, config = single_worker_setup()
-    buffer = io.StringIO()
-    run(make_trace((0, "fn"), (100, "fn")), [prof], config, sink=write_per_request_csv(buffer))
-    lines = buffer.getvalue().splitlines()
+    lines = per_request_text(make_trace((0, "fn"), (100, "fn")), [prof], config).splitlines()
     assert lines[0] == PER_REQUEST_CSV_HEADER
     assert len(lines) == 3
     assert all(len(line.split(",")) == 12 for line in lines)
+
+
+@pytest.mark.parametrize("model, exec_ms", [
+    (LatencyModel(shutdown_ms=MAX_TIMESTAMP_MS), 63),
+    (LatencyModel(code_load_ms=MAX_TIMESTAMP_MS), 63),
+    (LatencyModel(), MAX_TIMESTAMP_MS + 1),
+])
+def test_per_request_csv_refuses_a_total_past_int64(model, exec_ms):
+    # the parts are Python ints, the exec_ms and total_ms columns int64: a total past it would wrap, not fail
+    prof, config = single_worker_setup(exec_ms=exec_ms, latency_model=model)
+    with pytest.raises(ValueError, match="total_ms would pass"):
+        per_request_text(make_trace((0, "fn")), [prof], config)
