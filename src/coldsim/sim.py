@@ -217,23 +217,24 @@ def write_per_request_csv(
     # ``run`` refuses a function with no profile before it hands out a row
     execs = [catalog[fid].exec_duration_ms if fid in catalog else 0 for fid in trace.names]
     shutdown = config.latency_model.shutdown_ms
-    spare = MAX_TIMESTAMP_MS - max(execs, default=0) - shutdown  # the init a total can add within int64
-    if spare < 0:
+    if max(execs, default=0) + shutdown > MAX_TIMESTAMP_MS:  # each id has a row, whose total is at least this
         raise ValueError(f"a per-request total_ms would pass {MAX_TIMESTAMP_MS}")
     exec_ms = np.array(execs, dtype=np.int64)  # per id code
+    room = (MAX_TIMESTAMP_MS - shutdown - exec_ms).astype(np.uint64)  # the init each id's total can add
     ids = text_table([f",{fid}," for fid in trace.names], trace.stamps.max(initial=0))
 
     def write_chunk(first, worker_ids, slots, starts, breakdowns):
-        init_ms = [b.total_ms for _, b in breakdowns]
-        if max(init_ms) > spare:
-            raise ValueError(f"a per-request total_ms would pass {MAX_TIMESTAMP_MS}")
         phases = [f",{tier.value},{b.load_ms},{b.download_ms},{b.install_ms},{b.import_ms},{b.create_ms},"
                   for tier, b in breakdowns]
         end = first + len(slots)
         codes = trace.codes[first:end]
         workers, slots = np.array(worker_ids), np.array(slots)
+        # each row's init, capped at 2**63 so that a uint64 holds it and the compare stays exact
+        init = np.array([min(b.total_ms, MAX_TIMESTAMP_MS + 1) for _, b in breakdowns], dtype=np.uint64)[slots]
+        if (init > room[codes]).any():
+            raise ValueError(f"a per-request total_ms would pass {MAX_TIMESTAMP_MS}")
         execs = exec_ms[codes]
-        totals = np.array(init_ms)[slots] + execs + shutdown
+        totals = init.astype(np.int64) + execs + shutdown
         once = np.zeros(len(slots), dtype=np.int8)  # each row takes a one-text table's only text
         stream.writelines(format_rows([
             (trace.stamps[first:end], ids, codes),

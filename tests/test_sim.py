@@ -819,3 +819,14 @@ def test_per_request_csv_refuses_a_total_past_int64(model, exec_ms):
     prof, config = single_worker_setup(exec_ms=exec_ms, latency_model=model)
     with pytest.raises(ValueError, match="total_ms would pass"):
         per_request_text(make_trace((0, "fn")), [prof], config)
+
+
+def test_per_request_csv_checks_each_row_against_int64():
+    # one function's exec and another's init each take most of int64, but no row adds both
+    profiles = [make_profile("long", exec_ms=2**62), make_profile("cold", deps=("x",), exec_ms=0)]
+    partition = partition_round_robin(profiles, 1, 2, {"long": 1, "cold": 1})
+    config = SimConfig(partition=partition, latency_model=LatencyModel(download_ms_per_package=2**62))
+    trace = make_trace((0, "long"), (1, "cold"))
+    expected = reference_run(trace, profiles, config)
+    assert max(o.total_ms for o in expected) > 2**62
+    assert per_request_text(trace, profiles, config) == reference_per_request_text(expected)
