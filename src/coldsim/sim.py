@@ -326,8 +326,8 @@ def run(
     init_ms = [breakdowns[0][1].total_ms]
     requests = [0]
     slot_of: dict[tuple, int] = {}
-    worker_ids, slots, starts = [], [], []  # a chunk's columns, kept only for a consumer
     for first in range(0, len(trace), ROW_CHUNK):
+        worker_ids, slots, starts = [], [], []  # the chunk's columns, kept only for a consumer
         end = first + ROW_CHUNK
         for now, code in zip(trace.stamps[first:end].tolist(), trace.codes[first:end].tolist()):
             fid, profile, candidates, footprint = per_function[code]
@@ -368,7 +368,6 @@ def run(
                 starts.append(start)
         if consumer is not None:
             consumer(first, worker_ids, slots, starts, breakdowns)
-            worker_ids, slots, starts = [], [], []
     return _summarize((tier, b.total_ms, count) for (tier, b), count in zip(breakdowns, requests))
 
 
