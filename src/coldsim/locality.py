@@ -21,16 +21,11 @@ from .traces import FunctionProfile, index_profiles
 class DependencyGraph:
     """Similarity graph over functions; edges hold Jaccard weights in (0, 1].
 
-    Zero-weight pairs are omitted and self-edges are never stored; keys are
-    sorted pairs, so lookups are symmetric.
+    Zero-weight pairs are omitted and self-edges are never stored; each key
+    is a pair ``(a, b)`` with ``a < b``.
     """
 
     weights: Mapping[tuple[str, str], float]
-
-    def weight(self, a: str, b: str) -> float:
-        if a == b:
-            raise ValueError("self-similarity is not defined")
-        return self.weights.get((a, b) if a < b else (b, a), 0.0)
 
 
 @dataclass(frozen=True)

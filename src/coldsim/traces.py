@@ -133,16 +133,6 @@ class Trace:
     def __repr__(self) -> str:
         return f"Trace(<{len(self)} rows of {len(self.names)} functions>)"
 
-    @property
-    def timestamps_ms(self) -> tuple[int, ...]:
-        """The timestamp column as a tuple, built on each access."""
-        return tuple(self.stamps.tolist())
-
-    @property
-    def function_ids(self) -> tuple[str, ...]:
-        """The id column as a tuple of the shared name strings, built on each access."""
-        return tuple(np.array(self.names, dtype=object)[self.codes].tolist())
-
 
 @dataclass(frozen=True, slots=True)
 class FunctionProfile:
@@ -581,7 +571,7 @@ def synthesize_profiles(
 ) -> list[FunctionProfile]:
     """Build one profile per distinct function id, in id order.
 
-    ``function_ids`` may repeat ids, as a trace's column does. Public traces
+    ``function_ids`` may repeat ids. Public traces
     carry no dependency lists, so dependencies are drawn from a synthetic
     catalog: per-function dependency counts are uniform over
     ``deps_per_function`` and packages are sampled without replacement with

@@ -345,7 +345,7 @@ def reference_run(trace, profiles, config) -> list:
             pool_of[fid] = pool
     model = config.latency_model
     outcomes = []
-    for now, fid in zip(trace.timestamps_ms, trace.function_ids):
+    for now, fid in zip(trace.stamps.tolist(), [trace.names[c] for c in trace.codes.tolist()]):
         profile, pool = catalog[fid], pool_of[fid]
         holders = [w for w in pool if w.handler.live(fid, now)]
         if config.routing_policy is RoutingPolicy.HANDLER_AFFINITY and holders:
@@ -461,7 +461,7 @@ def reference_parse_trace(stream) -> Trace:
 def reference_trace_text(trace: Trace) -> str:
     """A trace's CSV text, one f-string per row: the definition that the
     trace writer reproduces."""
-    rows = zip(trace.timestamps_ms, trace.function_ids)
+    rows = zip(trace.stamps.tolist(), [trace.names[c] for c in trace.codes.tolist()])
     return TRACE_HEADER + "\n" + "".join(f"{ts},{function_id}\n" for ts, function_id in rows)
 
 

@@ -125,7 +125,7 @@ def test_criterion_02_skew_reproduction(tmp_path, capsys):
 
 
 def test_criterion_03_sweep_monotonicity_and_saturation(big_trace):
-    distinct = len(set(big_trace.function_ids))
+    distinct = len(big_trace.names)
     total = len(big_trace)
     sizes = [FOOTPRINT, 4 * FOOTPRINT, 64 * FOOTPRINT, distinct * FOOTPRINT, (distinct + 100) * FOOTPRINT]
     started = time.monotonic()

@@ -43,7 +43,7 @@ MIB = 1024**2
 @pytest.fixture(scope="module")
 def workload():
     trace = generate_synthetic(SyntheticTraceSpec(300, 20_000, 1.1, 3_600_000, 7))
-    profiles = synthesize_profiles(trace.function_ids, catalog_size=40, deps_per_function=(0, 5), seed=7)
+    profiles = synthesize_profiles(trace.names, catalog_size=40, deps_per_function=(0, 5), seed=7)
     partition = partition_round_robin(profiles, 3, 9, request_counts(trace))
     return trace, profiles, partition
 

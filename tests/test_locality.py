@@ -54,24 +54,24 @@ def check_invariants(partition, profiles, total_workers):
 
 def test_jaccard_identical_sets_weight_one():
     graph = build_dependency_graph([profile("a", {"numpy"}), profile("b", {"numpy"})])
-    assert graph.weight("a", "b") == 1.0
+    assert graph.weights.get(("a", "b"), 0.0) == 1.0
 
 
 def test_jaccard_disjoint_sets_have_no_edge():
     graph = build_dependency_graph([profile("a", {"numpy"}), profile("b", {"pandas"})])
     assert ("a", "b") not in graph.weights
-    assert graph.weight("a", "b") == 0.0
+    assert graph.weights.get(("a", "b"), 0.0) == 0.0
 
 
 def test_jaccard_partial_overlap():
     graph = build_dependency_graph([profile("a", {"x", "y"}), profile("b", {"y", "z"})])
-    assert graph.weight("a", "b") == pytest.approx(1 / 3)
+    assert graph.weights.get(("a", "b"), 0.0) == pytest.approx(1 / 3)
 
 
 def test_empty_dependency_sets_get_no_edge():
     graph = build_dependency_graph([profile("a"), profile("b")])
     assert not graph.weights
-    assert graph.weight("a", "b") == 0.0
+    assert graph.weights.get(("a", "b"), 0.0) == 0.0
 
 
 def test_duplicate_profiles_rejected():

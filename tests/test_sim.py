@@ -81,10 +81,15 @@ def outcomes_of(trace, profiles, config):
     return run_outcomes(trace, profiles, config)[1]
 
 
-def per_request_text(trace, profiles, config):
+def outputs_of(trace, profiles, config):
+    """The run's result as JSON and its per-request CSV."""
     buffer = io.StringIO()
-    run(trace, profiles, config, write_per_request_csv(buffer, trace, profiles, config))
-    return buffer.getvalue()
+    result = run(trace, profiles, config, write_per_request_csv(buffer, trace, profiles, config))
+    return result.to_json(), buffer.getvalue()
+
+
+def per_request_text(trace, profiles, config):
+    return outputs_of(trace, profiles, config)[1]
 
 
 def single_worker_setup(deps=("x",), exec_ms=63, **config_overrides):
@@ -184,12 +189,7 @@ def busy_scenario(seed=23, policy=RoutingPolicy.HANDLER_AFFINITY, requests=300):
 
 def test_run_is_deterministic():
     trace, profiles, config = busy_scenario()
-    out1, out2 = io.StringIO(), io.StringIO()
-    again = busy_scenario()[2]
-    first = run(trace, profiles, config, write_per_request_csv(out1, trace, profiles, config))
-    second = run(trace, profiles, again, write_per_request_csv(out2, trace, profiles, again))
-    assert first.to_json() == second.to_json()
-    assert out1.getvalue() == out2.getvalue()
+    assert outputs_of(trace, profiles, config) == outputs_of(trace, profiles, busy_scenario()[2])
 
 
 @given(st.integers(0, 2**16), st.integers(0, 300), st.sampled_from(RoutingPolicy))
@@ -302,7 +302,7 @@ def test_affinity_has_at_most_one_live_holder_the_last_server(seed, requests, ke
 
 # --- metamorphic relations: a run against another run on a transformed input --------
 
-SMALL_RUNS = given(
+SMALL_RUN_ARGS = (
     st.integers(0, 2**32),
     st.integers(0, 80),
     st.sampled_from(RoutingPolicy),
@@ -310,6 +310,7 @@ SMALL_RUNS = given(
     st.sampled_from([0, 2]),
     st.booleans(),
 )
+SMALL_RUNS = given(*SMALL_RUN_ARGS)
 
 
 def tiers_and_init_ms(trace, profiles, config):
@@ -333,7 +334,7 @@ def test_groups_run_alone_add_up_to_the_whole_run(seed, requests, policy, keep_a
                                                   overrides):
     # groups share no worker and no cache, so each group on its own requests runs as it does in the whole
     trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides)
-    rows = list(zip(trace.timestamps_ms, trace.function_ids))
+    rows = list(zip(trace.stamps.tolist(), [trace.names[c] for c in trace.codes.tolist()]))
     parts = []
     for group in config.partition.groups:
         own = [(ts, fid) for ts, fid in rows if fid in group.function_ids]
@@ -395,6 +396,35 @@ def test_reversing_package_order_leaves_the_result_equal_when_every_package_fits
     assert run(*renamed(trace, profiles, config, str, reverse.__getitem__)) == run(trace, profiles, config)
 
 
+@settings(max_examples=100, deadline=None)
+@given(*SMALL_RUN_ARGS, st.sampled_from(["a", "fn", "fn0a", "fn4a", "zz"]), st.integers(0, 3))
+def test_a_profile_no_request_names_leaves_the_run_unchanged(seed, requests, policy, keep_alive_ms,
+                                                            import_max_nodes, overrides, name, index):
+    # an id the trace never requests, in the catalog and in one group, with a footprint of its own
+    trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides)
+    groups = list(config.partition.groups)
+    group = groups[index % len(groups)]
+    groups[index % len(groups)] = dataclasses.replace(group, function_ids=group.function_ids | {name})
+    wider = dataclasses.replace(
+        config,
+        partition=Partition(groups, config.partition.total_workers),
+        footprint_overrides={**config.footprint_overrides, name: config.handler_capacity_bytes},
+    )
+    unrequested = make_profile(name, deps="acf", runtime=group.runtime, exec_ms=90)
+    assert outputs_of(trace, [*profiles, unrequested], wider) == outputs_of(trace, profiles, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*SMALL_RUN_ARGS, st.lists(st.integers(0, 10**6), min_size=4, max_size=4, unique=True))
+def test_renumbering_groups_in_order_leaves_the_run_unchanged(seed, requests, policy, keep_alive_ms,
+                                                              import_max_nodes, overrides, new_ids):
+    trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides)
+    increasing = dict(zip(sorted(g.group_id for g in config.partition.groups), sorted(new_ids)))
+    groups = [dataclasses.replace(g, group_id=increasing[g.group_id]) for g in config.partition.groups]
+    renumbered = dataclasses.replace(config, partition=Partition(groups, config.partition.total_workers))
+    assert outputs_of(trace, profiles, renumbered) == outputs_of(trace, profiles, config)
+
+
 @pytest.mark.parametrize("policy", list(RoutingPolicy))
 def test_idle_workers_keep_no_past_starts(policy):
     profiles = [make_profile("fn"), make_profile("other")]
@@ -442,7 +472,7 @@ def test_affinity_checks_liveness_at_arrival_and_expires_at_start():
 
 def test_run_without_sink_keeps_no_per_request_state():
     trace = generate_synthetic(SyntheticTraceSpec(40, 50_000, 1.1, 3_600_000, seed=5))
-    profiles = synthesize_profiles(trace.function_ids, catalog_size=40, deps_per_function=(0, 5), seed=5)
+    profiles = synthesize_profiles(trace.names, catalog_size=40, deps_per_function=(0, 5), seed=5)
     config = SimConfig(partition=partition_round_robin(profiles, 2, 4, request_counts(trace)))
     tracemalloc.start()
     try:
@@ -456,7 +486,7 @@ def test_run_without_sink_keeps_no_per_request_state():
 
 def test_per_request_csv_holds_one_chunk_of_rows():
     trace = generate_synthetic(SyntheticTraceSpec(40, 50_000, 1.1, 3_600_000, seed=5))
-    profiles = synthesize_profiles(trace.function_ids, catalog_size=40, deps_per_function=(0, 5), seed=5)
+    profiles = synthesize_profiles(trace.names, catalog_size=40, deps_per_function=(0, 5), seed=5)
     config = SimConfig(partition=partition_round_robin(profiles, 2, 4, request_counts(trace)))
     # a chunk's three int lists, its numpy columns and its row text take well under 512 bytes a row;
     # 50,000 rows held whole, as lists or as one formatted piece, take about twice this or more
@@ -509,12 +539,6 @@ def test_affinity_reuses_the_holding_worker():
     # the idle twin has an earlier busy_until, so the repeat lands cold
     assert [o.worker_id for o in least_loaded] == [0, 1]
     assert least_loaded[1].tier is not Tier.HANDLER_HIT
-
-
-def outputs_of(trace, profiles, config):
-    buffer = io.StringIO()
-    result = run(trace, profiles, config, write_per_request_csv(buffer, trace, profiles, config))
-    return result.to_json(), buffer.getvalue()
 
 
 def test_every_config_field_changes_the_output():

@@ -42,7 +42,7 @@ def trace_of(*function_ids: str) -> Trace:
 def test_parse_sorts_stably_by_timestamp():
     text = "timestamp_ms,function_id\n5,c\n1,a\n1,b\n"
     trace = parse_trace(io.StringIO(text))
-    assert list(zip(trace.timestamps_ms, trace.function_ids)) == [
+    assert list(zip(trace.stamps.tolist(), [trace.names[c] for c in trace.codes.tolist()])) == [
         (1, "a"),
         (1, "b"),
         (5, "c"),
@@ -157,10 +157,10 @@ def test_request_counts_match_a_counter_over_the_ids(ids, functions, requests, s
     generated = generate_synthetic(SyntheticTraceSpec(functions, requests, 1.1, 1_000, seed))
     for trace in (built, parsed, generated):
         counts = request_counts(trace)
-        assert counts == Counter(trace.function_ids)
+        assert counts == Counter(trace.names[c] for c in trace.codes.tolist())
         assert 0 not in counts.values()
         # no id that no request names
-        assert sorted(trace.names) == sorted(set(trace.function_ids))
+        assert sorted(trace.names) == sorted({trace.names[c] for c in trace.codes.tolist()})
 
 
 EDGE_STAMPS = (0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12 - 1, 10**16, 2**63 - 1)
@@ -216,7 +216,7 @@ def test_the_largest_int64_stamp_parses_and_round_trips():
     with mock.patch.object(traces, "_parse_rows", wraps=traces._parse_rows) as row_loop:
         trace = parse_trace(io.StringIO(text))
     assert row_loop.called
-    assert trace.timestamps_ms == (0, MAX_STAMP) and trace.stamps.dtype == np.int64
+    assert trace.stamps.tolist() == [0, MAX_STAMP] and trace.stamps.dtype == np.int64
     buffer = io.StringIO()
     write_trace(trace, buffer)
     assert buffer.getvalue() == text
@@ -251,8 +251,9 @@ def test_a_trace_has_one_form(rows):
 @pytest.mark.parametrize("functions", [1, 10, 10_000, 10_001])  # 10,001 names are one digit wider
 def test_generated_names_are_sorted(functions):
     trace = generate_synthetic(SyntheticTraceSpec(functions, 20_000, 0.5, 1_000, seed=1))
-    assert trace.names == tuple(sorted(set(trace.function_ids)))
-    assert np.array_equal(trace.codes, Trace(trace.timestamps_ms, trace.function_ids).codes)
+    ids = [trace.names[c] for c in trace.codes.tolist()]
+    assert trace.names == tuple(sorted(set(ids)))
+    assert np.array_equal(trace.codes, Trace(trace.stamps.tolist(), ids).codes)
 
 
 def test_parse_keeps_no_per_row_objects():
@@ -269,8 +270,7 @@ def test_parse_keeps_no_per_row_objects():
     assert len(trace) == 50_000
     # an int64 timestamp and an int32 id code per row; a per-row object costs far more
     assert retained / len(trace) < 16, f"{retained / len(trace):.1f} bytes per row"
-    # each distinct function id is one shared string object
-    assert len({id(f) for f in trace.function_ids}) == len(set(trace.function_ids)) == 40
+    assert len(trace.names) == 40
 
 
 def parse_outcome(parse, text: str):
@@ -336,10 +336,7 @@ def test_parse_matches_row_by_row_reference(text, block):
     want = parse_outcome(reference_parse_trace, text)
     assert got == want
     if isinstance(got, Trace):
-        assert all(type(ts) is int for ts in got.timestamps_ms)
-        assert all(type(fid) is str for fid in got.function_ids)
-        # each distinct function id is one shared string object
-        assert len({id(f) for f in got.function_ids}) == len(set(got.function_ids))
+        assert all(type(name) is str for name in got.names)  # not numpy's str_, which compares equal
 
 
 def test_canonical_rows_skip_the_row_loop():
@@ -486,9 +483,9 @@ def test_parse_and_generate_build_traces_without_rechecking_rows():
         with pytest.raises(AssertionError, match="re-checked"):
             Trace((1,), ("a",))  # direct construction still runs every check
     assert parsed == Trace((3, 7, 7), ("a", "b", "a"))
-    assert generated == Trace(generated.timestamps_ms, generated.function_ids)
+    assert generated == Trace(generated.stamps.tolist(), [generated.names[c] for c in generated.codes.tolist()])
     with pytest.raises(ValueError, match="sorted"):
-        Trace(parsed.timestamps_ms[::-1], parsed.function_ids)
+        Trace(parsed.stamps.tolist()[::-1], [parsed.names[c] for c in parsed.codes.tolist()])
 
 
 def test_unsorted_records_rejected():
@@ -623,14 +620,14 @@ def test_higher_zipf_exponent_never_raises_coverage_threshold():
 
 def test_synthesize_profiles_zero_range_gives_empty_deps():
     trace = trace_of("a", "b", "c")
-    for profile in synthesize_profiles(trace.function_ids, 50, deps_per_function=(0, 0), seed=1):
+    for profile in synthesize_profiles(trace.names, 50, deps_per_function=(0, 0), seed=1):
         assert profile.dependencies == frozenset()
 
 
 def test_synthesize_profiles_deterministic():
-    trace = trace_of("a", "b", "c", "a")
-    first = synthesize_profiles(trace.function_ids, 50, (1, 5), 1.0, seed=9)
-    second = synthesize_profiles(trace.function_ids, 50, (1, 5), 1.0, seed=9)
+    ids = ["a", "b", "c", "a"]  # a repeated id is profiled once
+    first = synthesize_profiles(ids, 50, (1, 5), 1.0, seed=9)
+    second = synthesize_profiles(ids, 50, (1, 5), 1.0, seed=9)
     assert first == second
     assert [p.function_id for p in first] == ["a", "b", "c"]
 
@@ -638,7 +635,7 @@ def test_synthesize_profiles_deterministic():
 def test_synthesize_profiles_popular_package_beats_median():
     ids = [f"g{i:04d}" for i in range(1000)]
     trace = Trace(tuple(range(len(ids))), tuple(ids))
-    profiles = synthesize_profiles(trace.function_ids, 100, (1, 5), 1.0, seed=4)
+    profiles = synthesize_profiles(trace.names, 100, (1, 5), 1.0, seed=4)
     membership = Counter()
     for profile in profiles:
         membership.update(profile.dependencies)
@@ -648,7 +645,7 @@ def test_synthesize_profiles_popular_package_beats_median():
 
 def test_synthesize_profiles_range_exceeding_catalog_errors():
     with pytest.raises(ValueError, match="catalog"):
-        synthesize_profiles(trace_of("a").function_ids, 3, deps_per_function=(1, 4))
+        synthesize_profiles(trace_of("a").names, 3, deps_per_function=(1, 4))
 
 
 @st.composite
@@ -703,7 +700,7 @@ def test_profile_names_are_checked_once_each_in_profile_order():
 
 def test_profiles_csv_roundtrip():
     trace = trace_of("a", "b")
-    profiles = synthesize_profiles(trace.function_ids, 30, (0, 3), 1.0, seed=2)
+    profiles = synthesize_profiles(trace.names, 30, (0, 3), 1.0, seed=2)
     buffer = io.StringIO()
     write_profiles(profiles, buffer)
     assert parse_profiles(io.StringIO(buffer.getvalue())) == profiles
