@@ -24,6 +24,20 @@ distinct miss breakdown takes the next), which gives its ``SimResult``, and
 keeps no outcome. An optional consumer, such as the per-request CSV writer,
 is handed each chunk of ``ROW_CHUNK`` requests as integer columns.
 
+Locality groups share no worker, no cache and no ``last_worker`` entry, so
+a pass over some groups' rows alone, in trace order, does for them exactly
+what the whole run does, and a result's aggregates are exact sums of
+integer counts. ``run`` therefore splits the groups into at most one shard
+per usable CPU, heaviest group first onto the lightest shard. It simulates
+the heaviest shard itself and each other in a forked child, which sends
+back its request count per (tier, init ms) through a pipe and leaves by
+``os._exit``. Each shard walks the whole trace a chunk at a time and keeps
+its rows by their id code. A run takes one shard, in process, when it has a
+consumer (the rows must reach it in trace order), fewer than
+``SHARD_MIN_ROWS`` requests, one usable CPU, one group with requests, or no
+``fork``. Every child is reaped, and killed first, before ``run`` returns
+or raises; a child's error is raised in the parent as a ``RuntimeError``.
+
 ``simple_lru_hit_rate`` and ``sweep_cache_sizes`` implement the simplified
 evaluation model: a single global LRU keyed by function id, bypassing
 workers and groups entirely. LRU has the inclusion property, so one pass
@@ -38,6 +52,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
@@ -60,10 +78,24 @@ from .caches import (
     init_latency,
 )
 from .locality import Partition
-from .traces import MAX_TIMESTAMP_MS, ROW_CHUNK, FunctionProfile, Trace, format_rows, index_profiles, text_table
+from .traces import (
+    MAX_TIMESTAMP_MS,
+    ROW_CHUNK,
+    FunctionProfile,
+    Trace,
+    format_rows,
+    index_profiles,
+    request_counts,
+    text_table,
+)
 
 DEFAULT_FOOTPRINT_BYTES = 256 * 1024 * 1024  # uniform per-instance footprint
 DEFAULT_PACKAGE_SIZE_BYTES = 10 * 1024 * 1024
+
+# A run of fewer requests takes one shard, in process. Forking a shard, reading its counts and
+# reaping it took about 4 ms from a 50 MiB process on 2 cores, and two shards first beat one near
+# 2,000 requests; this leaves room for a slower fork from a larger process.
+SHARD_MIN_ROWS = 10_000
 
 PER_REQUEST_CSV_HEADER = (
     "timestamp_ms,function_id,worker_id,tier,load_ms,download_ms,"
@@ -290,32 +322,41 @@ def build_workers(config: SimConfig) -> dict[int, list[Worker]]:
     return by_group
 
 
-def run(
-    trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig, consumer: ChunkConsumer | None = None
-) -> SimResult:
-    """Simulate the full trace, handing each chunk's outcomes to ``consumer``; see the module docstring."""
-    catalog = index_profiles(profiles)
-    unprofiled = sorted(config.footprint_overrides.keys() - catalog.keys())
-    if unprofiled:
-        raise ValueError(f"footprint_overrides names {unprofiled[0]!r}, a function with no profile")
-    group_of = config.partition.function_to_group()
-    runtime_of = {f: g.runtime for g in config.partition.groups for f in g.function_ids}
-    mixed = sorted(f for f in runtime_of.keys() & catalog.keys() if catalog[f].runtime != runtime_of[f])
-    if mixed:
-        fid = mixed[0]
-        raise ValueError(f"function {fid!r} has runtime {catalog[fid].runtime!r}, not its group's {runtime_of[fid]!r}")
-    for fid in trace.names:
-        if fid not in catalog:
-            raise ValueError(f"no profile for function {fid!r}")
-        if fid not in group_of:
-            raise ValueError(f"unpartitioned function {fid!r}")
+def _shards(trace: Trace, group_of: Mapping[str, int], consumer: ChunkConsumer | None) -> list[np.ndarray]:
+    """Per shard, heaviest first, a mask over the trace's id codes that keeps the rows it simulates.
 
-    by_group = build_workers(config)
-    # (id, profile, candidate workers, footprint) per id code, looked up once
-    per_function = [
-        (fid, catalog[fid], by_group[group_of[fid]], config.footprint_overrides.get(fid, config.footprint_bytes))
-        for fid in trace.names
-    ]
+    A run takes one shard when a consumer needs its rows in trace order,
+    when it has fewer than ``SHARD_MIN_ROWS`` requests, or when there is one
+    usable CPU, one group with requests or no ``fork``. Otherwise each usable
+    CPU gets at most one shard: groups go heaviest first, ties by lower id,
+    each onto the shard with the fewest requests so far, ties by lower index.
+    """
+    whole = [np.ones(len(trace.names), dtype=bool)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if consumer is not None or len(trace) < SHARD_MIN_ROWS or cpus < 2 or not hasattr(os, "fork"):
+        return whole
+    load: Counter[int] = Counter()
+    for fid, count in request_counts(trace).items():  # counted a chunk at a time: no whole-column copy
+        load[group_of[fid]] += count
+    if len(load) < 2:
+        return whole
+    requests = [0] * min(cpus, len(load))  # per shard
+    members: list[set[int]] = [set() for _ in requests]
+    for _, group_id in sorted((-count, group_id) for group_id, count in load.items()):
+        lightest = requests.index(min(requests))
+        requests[lightest] += load[group_id]
+        members[lightest].add(group_id)
+    members.insert(0, members.pop(requests.index(max(requests))))
+    return [np.array([group_of[fid] in groups for fid in trace.names]) for groups in members]
+
+
+def _simulate_shard(
+    trace: Trace, keep: np.ndarray, per_function: list, config: SimConfig, consumer: ChunkConsumer | None
+) -> list[tuple[Tier, int, int]]:
+    """Simulate, in trace order, the rows whose id code ``keep`` marks; (tier, init ms, requests) per slot.
+
+    A consumer is handed every chunk, so it is given only with a mask that keeps every row.
+    """
     policy = config.routing_policy
     model = config.latency_model
     package_size = config.package_size_bytes
@@ -329,7 +370,9 @@ def run(
     for first in range(0, len(trace), ROW_CHUNK):
         worker_ids, slots, starts = [], [], []  # the chunk's columns, kept only for a consumer
         end = first + ROW_CHUNK
-        for now, code in zip(trace.stamps[first:end].tolist(), trace.codes[first:end].tolist()):
+        codes = trace.codes[first:end]
+        mine = keep[codes]
+        for now, code in zip(trace.stamps[first:end][mine].tolist(), codes[mine].tolist()):
             fid, profile, candidates, footprint = per_function[code]
             worker = _select_worker(candidates, fid, now, policy, last_worker)
             start = worker.busy_until_ms
@@ -368,7 +411,78 @@ def run(
                 starts.append(start)
         if consumer is not None:
             consumer(first, worker_ids, slots, starts, breakdowns)
-    return _summarize((tier, b.total_ms, count) for (tier, b), count in zip(breakdowns, requests))
+    return [(tier, b.total_ms, count) for (tier, b), count in zip(breakdowns, requests)]
+
+
+def run(
+    trace: Trace, profiles: Sequence[FunctionProfile], config: SimConfig, consumer: ChunkConsumer | None = None
+) -> SimResult:
+    """Simulate the full trace, handing each chunk's outcomes to ``consumer``; see the module docstring."""
+    catalog = index_profiles(profiles)
+    unprofiled = sorted(config.footprint_overrides.keys() - catalog.keys())
+    if unprofiled:
+        raise ValueError(f"footprint_overrides names {unprofiled[0]!r}, a function with no profile")
+    group_of = config.partition.function_to_group()
+    runtime_of = {f: g.runtime for g in config.partition.groups for f in g.function_ids}
+    mixed = sorted(f for f in runtime_of.keys() & catalog.keys() if catalog[f].runtime != runtime_of[f])
+    if mixed:
+        fid = mixed[0]
+        raise ValueError(f"function {fid!r} has runtime {catalog[fid].runtime!r}, not its group's {runtime_of[fid]!r}")
+    for fid in trace.names:
+        if fid not in catalog:
+            raise ValueError(f"no profile for function {fid!r}")
+        if fid not in group_of:
+            raise ValueError(f"unpartitioned function {fid!r}")
+
+    by_group = build_workers(config)
+    # (id, profile, candidate workers, footprint) per id code, looked up once
+    per_function = [
+        (fid, catalog[fid], by_group[group_of[fid]], config.footprint_overrides.get(fid, config.footprint_bytes))
+        for fid in trace.names
+    ]
+    own, *forked = _shards(trace, group_of, consumer)
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe) per forked shard
+    try:
+        for keep in forked:
+            read_end, write_end = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns on forking with threads running, here numpy's idle BLAS pool; no child calls it
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the child writes only to its pipe, and leaves by os._exit: no handler of the parent's runs
+                try:
+                    os.close(read_end)
+                    try:
+                        reply = _simulate_shard(trace, keep, per_function, config, None)
+                    except BaseException as exc:
+                        reply = f"{type(exc).__name__}: {exc}"
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(reply, pipe)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((pid, read_end))
+        counts = _simulate_shard(trace, own, per_function, config, consumer)
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                try:
+                    reply = pickle.load(pipe)
+                except EOFError:
+                    reply = "it exited without sending its counts"
+            if isinstance(reply, str):
+                raise RuntimeError(f"a shard of the run failed in a forked process: {reply}")
+            counts += reply
+    finally:  # every child is gone before run returns or raises
+        for pid, read_end in children:
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)  # changes nothing for a child that has sent its reply
+            os.waitpid(pid, 0)
+    return _summarize(counts)
 
 
 def _stack_distance_counts(codes: np.ndarray, distinct: int, depth: int) -> list[int]:

@@ -10,9 +10,11 @@ runtime on 16 workers, and simulates it under the default configuration
 with ``coldsim.sim.run`` and with ``reference.reference_run``. It exits 1
 unless ``run``'s per-request CSV equals, byte for byte, the one
 ``reference.reference_per_request_text`` writes from the reference's
-outcomes.
+outcomes, and unless ``run`` without a consumer, which splits the groups
+into one shard per usable CPU and forks all but one, gives the same result
+JSON as the per-request run, which takes one shard in process.
 
-The hypothesis tests compare the two on runs whose import trees stop at 4
+The hypothesis tests compare them on runs whose import trees stop at 4
 nodes; here the trees reach the default 64, so the import tree's index is
 checked at the size a real run gives it. The reference takes several times
 as long as ``run``, so this is kept out of the test suite.
@@ -32,7 +34,7 @@ from reference import reference_per_request_text, reference_run  # this script's
 
 from coldsim import cli
 from coldsim.locality import Partition
-from coldsim.sim import SimConfig, run, write_per_request_csv
+from coldsim.sim import SimConfig, _shards, run, write_per_request_csv
 from coldsim.traces import load_profiles, load_trace
 
 
@@ -57,6 +59,10 @@ def main() -> int:
     result = run(trace, profiles, config, write_per_request_csv(buffer, trace, profiles, config))
     run_s = perf_counter() - start
     start = perf_counter()
+    sharded = run(trace, profiles, config)
+    sharded_s = perf_counter() - start
+    shards = len(_shards(trace, config.partition.function_to_group(), None))
+    start = perf_counter()
     outcomes = reference_run(trace, profiles, config)
     reference_s = perf_counter() - start
 
@@ -64,11 +70,14 @@ def main() -> int:
     lines, expected_lines = text.splitlines(), expected_text.splitlines()
     differ = next((i for i, (line, expected) in enumerate(zip(lines, expected_lines)) if line != expected), None)
     counts = {tier: n for tier, n in result.tier_counts.items() if n}
-    print(f"run {run_s:.1f} s, reference {reference_s:.1f} s")
+    print(f"run {run_s:.1f} s with the per-request CSV, {sharded_s:.1f} s without it in {shards} shard(s), "
+          f"reference {reference_s:.1f} s")
     print(f"tier counts {counts}, reference {dict(Counter(o.tier.value for o in outcomes))}")
     print(f"per-request CSV {len(text)} characters in {len(lines)} lines, reference {len(expected_text)} in "
           f"{len(expected_lines)}" + ("" if differ is None else f"; line {differ + 1} differs"))
-    return 0 if text == expected_text else 1
+    same = sharded.to_json() == result.to_json()
+    print("result JSON without the per-request CSV " + ("equal" if same else "differs"))
+    return 0 if text == expected_text and same else 1
 
 
 if __name__ == "__main__":

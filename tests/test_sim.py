@@ -1,16 +1,23 @@
+import contextlib
 import dataclasses
 import io
+import json
 import os
 import random
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coldsim import sim
+from coldsim import cli, sim
 from coldsim.locality import LocalityGroup, Partition, partition_round_robin
 from coldsim.sim import (
     PER_REQUEST_CSV_HEADER,
@@ -32,6 +39,8 @@ from coldsim.traces import (
     generate_synthetic,
     request_counts,
     synthesize_profiles,
+    write_profiles,
+    write_trace,
 )
 
 from reference import (
@@ -328,11 +337,24 @@ def test_shifting_every_stamp_leaves_the_result_equal(seed, requests, policy, ke
     assert run(shifted, profiles, config) == run(trace, profiles, config)
 
 
+@contextlib.contextmanager
+def sharded(cpus):
+    """Every run without a consumer split over ``cpus`` usable CPUs, however short; yields the mock of ``os.fork``."""
+    fork = os.fork
+    with (mock.patch.object(sim, "SHARD_MIN_ROWS", 0),
+          mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))),
+          mock.patch.object(os, "fork", side_effect=fork) as forks):
+        yield forks
+
+
 @settings(max_examples=100, deadline=None)
-@SMALL_RUNS
+@given(*SMALL_RUN_ARGS, st.sampled_from([2, 3]))
+@example(seed=8, requests=80, policy=RoutingPolicy.LEAST_LOADED, keep_alive_ms=40, import_max_nodes=2,
+         overrides=True, cpus=2)  # four groups with requests on two shards
 def test_groups_run_alone_add_up_to_the_whole_run(seed, requests, policy, keep_alive_ms, import_max_nodes,
-                                                  overrides):
-    # groups share no worker and no cache, so each group on its own requests runs as it does in the whole
+                                                  overrides, cpus):
+    # groups share no worker and no cache, so each group on its own requests runs as it does in the whole,
+    # and so does each shard of groups that ``run`` forks
     trace, profiles, config = small_run(seed, requests, policy, keep_alive_ms, import_max_nodes, overrides)
     rows = list(zip(trace.stamps.tolist(), [trace.names[c] for c in trace.codes.tolist()]))
     parts = []
@@ -343,6 +365,13 @@ def test_groups_run_alone_add_up_to_the_whole_run(seed, requests, policy, keep_a
     whole_counts, whole_init_ms = tiers_and_init_ms(trace, profiles, config)
     assert {tier: sum(counts[tier] for counts, _ in parts) for tier in whole_counts} == whole_counts
     assert sum(init_ms for _, init_ms in parts) == whole_init_ms
+    group_of = config.partition.function_to_group()
+    busy = len({group_of[fid] for fid in trace.names})
+    with sharded(cpus) as forks:
+        result = run(trace, profiles, config)
+    assert forks.call_count == min(cpus, max(busy, 1)) - 1
+    assert result == run_outcomes(trace, profiles, config)[0]  # a consumer keeps a run to one shard
+    assert dataclasses.asdict(result) == reference_summary(reference_run(trace, profiles, config))
 
 
 def renamed(trace, profiles, config, function_name, package_name):
@@ -468,6 +497,87 @@ def test_affinity_checks_liveness_at_arrival_and_expires_at_start():
     assert repeat.start_ms - first.completion_ms > config.keep_alive_ms
     # the instance expired while the request queued; the import tree still has {x}
     assert repeat.tier is Tier.IMPORT_HIT
+
+
+@pytest.mark.parametrize("cpus, shards", [
+    (1, [{0, 1, 2, 3}]),
+    (2, [{1, 2}, {0, 3}]),
+    (3, [{0, 2}, {1}, {3}]),
+    (8, [{1}, {3}, {0}, {2}]),
+])
+def test_shards_take_each_group_heaviest_first_onto_the_lightest_shard(cpus, shards):
+    # groups 0 to 3 carry 3, 5, 3 and 4 requests, group 4 none; the heaviest shard comes first
+    loads = {0: 3, 1: 5, 2: 3, 3: 4}
+    partition = Partition([LocalityGroup(g, "python", {f"g{g}"}, 1) for g in range(5)], 5)
+    group_of = partition.function_to_group()
+    trace = Trace(range(15), [f"g{g}" for g, n in loads.items() for _ in range(n)])
+
+    def groups(masks):
+        return [{group_of[trace.names[code]] for code in np.flatnonzero(mask)} for mask in masks]
+
+    with sharded(cpus):
+        assert groups(sim._shards(trace, group_of, None)) == shards
+        assert groups(sim._shards(trace, group_of, lambda *chunk: None)) == [{0, 1, 2, 3}]  # rows in trace order
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        assert groups(sim._shards(trace, group_of, None)) == [{0, 1, 2, 3}]  # below SHARD_MIN_ROWS
+
+
+FAILING_SIMULATE = """
+import os, sys
+from unittest import mock
+from coldsim import cli, sim
+parent, real = os.getpid(), sim.init_latency
+failing, argv = sys.argv[1], sys.argv[2:]
+
+def init_latency(probe, model):
+    if (os.getpid() == parent) == (failing == "parent"):
+        raise RuntimeError(f"no latency in the {failing}")
+    return real(probe, model)
+
+with (mock.patch.object(sim, "SHARD_MIN_ROWS", 0), mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}),
+      mock.patch.object(sim, "init_latency", init_latency)):
+    sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_a_failing_shard_fails_the_run_and_leaves_no_process_and_no_output(failing, tmp_path):
+    trace, profiles, config = busy_scenario()  # four groups with requests
+    parent, real = os.getpid(), sim.init_latency
+
+    def init_latency(probe, model):
+        in_parent = os.getpid() == parent
+        if in_parent == (failing == "parent"):
+            raise RuntimeError(f"no latency in the {failing}")
+        if not in_parent:
+            time.sleep(60)  # still running when the parent fails: it must be killed, not waited for
+        return real(probe, model)
+
+    inputs = [tmp_path / name for name in ("trace.csv", "profiles.csv", "partition.json")]
+    with open(inputs[0], "w", encoding="utf-8") as stream:
+        write_trace(trace, stream)
+    with open(inputs[1], "w", encoding="utf-8") as stream:
+        write_profiles(profiles, stream)
+    inputs[2].write_text(json.dumps(config.partition.to_dict()))
+    argv = ["simulate", *map(str, inputs), "--quiet", "--out", str(tmp_path / "result.json")]
+    started = time.monotonic()
+    with sharded(2) as forks, mock.patch.object(sim, "init_latency", init_latency):
+        with pytest.raises(RuntimeError, match=f"no latency in the {failing}"):
+            run(trace, profiles, config)
+        with pytest.raises(RuntimeError, match=f"no latency in the {failing}"):
+            cli.main(argv)
+    assert forks.call_count == 2
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
+    assert sorted(tmp_path.iterdir()) == sorted(inputs)
+    # run as a command, it exits 1 with the error's message, and removes its outputs
+    src = str(Path(sim.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", FAILING_SIMULATE, failing, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 1
+    assert f"RuntimeError: no latency in the {failing}" in proc.stderr
+    assert sorted(tmp_path.iterdir()) == sorted(inputs)
 
 
 def test_run_without_sink_keeps_no_per_request_state():
