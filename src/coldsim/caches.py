@@ -326,52 +326,44 @@ class ImportCacheTree:
 
 
 class CacheLookupResult(NamedTuple):
-    """Outcome of probing the three tiers for one request.
+    """Outcome of probing the import tree and the install cache for a handler miss.
 
-    ``preimported``, ``preinstalled`` and ``cold`` partition the function's
-    dependency set (all empty on a handler hit); ``classify_request`` builds
-    them by set difference, so they are disjoint by construction.
-    ``forked_node_id`` is the import-tree node a new instance would fork
-    from, or None when no tree is available and a sandbox must be created
-    from scratch.
+    ``preinstalled`` and ``cold`` split the dependencies that the forked
+    node does not hold, or all of them without a tree, into those the
+    install cache holds and the rest. ``forked_node_id`` is the import-tree
+    node a new instance would fork from, or None when no tree is available
+    and a sandbox must be created from scratch. A handler hit has no probe:
+    ``CacheLookupResult(Tier.HANDLER_HIT)`` stands for one when it is priced.
     """
 
     tier: Tier
-    preimported: frozenset[str] = _NONE
     preinstalled: frozenset[str] = _NONE
     cold: frozenset[str] = _NONE
     forked_node_id: int | None = None
 
 
-_HANDLER_HIT = CacheLookupResult(Tier.HANDLER_HIT)
 _IMPORT_HIT, _INSTALL_HIT, _MISS = Tier.IMPORT_HIT, Tier.INSTALL_HIT, Tier.MISS  # read once: member lookups are slow
 
 
 def classify_request(
-    profile: FunctionProfile,
-    handler: HandlerCache,
-    install: InstallCache,
-    imports: ImportCacheTree | None = None,
+    profile: FunctionProfile, install: InstallCache, imports: ImportCacheTree | None = None
 ) -> CacheLookupResult:
-    """Probe handler, then import tree, then install cache for one request.
+    """Probe the import tree, then the install cache, for a request whose handler missed.
 
-    The handler probe is a membership test with no recency effect: the
-    caller refreshes the instance when it pauses it again. The install
-    lookup refreshes the packages it finds; forking the chosen import node
-    (``touch``) is left to the caller, which knows the fork time. Every
-    handler hit returns the same (immutable) result object.
+    The caller decides the handler hit. The tier is an import hit when the
+    forked node holds a dependency, else an install hit when the install
+    cache holds one, else a miss. The install lookup refreshes the packages
+    it finds; forking the chosen import node (``touch``) is left to the
+    caller, which knows the fork time.
     """
-    if profile.function_id in handler._entries:
-        return _HANDLER_HIT
     deps = profile.dependencies
     if imports is not None:
         node_id, remaining = imports.best_node(deps)
-        preimported = deps - remaining if remaining else deps
     else:
-        node_id, remaining, preimported = None, deps, _NONE
+        node_id, remaining = None, deps
     preinstalled, cold = install.lookup(remaining)
-    tier = _IMPORT_HIT if preimported else _INSTALL_HIT if preinstalled else _MISS
-    return CacheLookupResult(tier, preimported, preinstalled, cold, node_id)
+    tier = _IMPORT_HIT if remaining != deps else _INSTALL_HIT if preinstalled else _MISS
+    return CacheLookupResult(tier, preinstalled, cold, node_id)
 
 
 def init_latency(result: CacheLookupResult, model: LatencyModel) -> LatencyBreakdown:

@@ -13,11 +13,12 @@ hold a live instance; it counts queues only when every candidate is busy.
 Nothing here draws random numbers, so identical inputs always produce
 identical results.
 
-A handler hit is decided by one membership test after expiry: it builds no
-probe, and every hit shares one breakdown, an unpause. Only a handler miss
-is classified through the import tree and the install cache. Either way the
-instance is paused again at completion; a hit's re-pause only moves its
-entry, since it frees and takes no bytes.
+A handler hit is decided by one membership test after expiry, here and
+nowhere else: it builds no probe, and every hit shares one breakdown, an
+unpause. Only a handler miss is classified, by ``classify_request``, through
+the import tree and the install cache. Either way the instance is paused
+again at completion; a hit's re-pause only moves its entry, since it frees
+and takes no bytes.
 
 A run counts requests per breakdown slot (slot 0 is a hit's unpause, each
 distinct miss breakdown takes the next), which gives its ``SimResult``, and
@@ -181,6 +182,7 @@ class Worker:
         return len(starts)
 
     def expire_handler(self, now_ms: int) -> None:
+        """Forward to the handler: ``perfbench/tracer.py`` counts each request's expiry here."""
         self.handler.expire(now_ms)
 
     def begin(self, start_ms: int, completion_ms: int) -> None:
@@ -384,7 +386,7 @@ def _simulate_shard(
             if fid in handler:
                 slot = 0
             else:
-                probe = classify_request(profile, handler, worker.install, worker.imports)
+                probe = classify_request(profile, worker.install, worker.imports)
                 cold = probe.cold
                 node = probe.forked_node_id
                 key = (probe.tier, len(cold), len(probe.preinstalled), node is not None)
@@ -450,7 +452,7 @@ def run(
                     # Python 3.12 warns on forking with threads running, here numpy's idle BLAS pool; no child calls it
                     warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
                     pid = os.fork()
-            except OSError:
+            except BaseException:
                 os.close(read_end)
                 os.close(write_end)
                 raise

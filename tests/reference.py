@@ -359,10 +359,9 @@ def reference_run(trace, profiles, config) -> list:
             probe = CacheLookupResult(Tier.HANDLER_HIT)
         else:
             node, remaining = (None, deps) if worker.imports is None else worker.imports.best_node(deps)
-            preimported = deps - remaining
             preinstalled, cold = worker.install.lookup(remaining)
-            tier = Tier.IMPORT_HIT if preimported else Tier.INSTALL_HIT if preinstalled else Tier.MISS
-            probe = CacheLookupResult(tier, preimported, preinstalled, cold, node)
+            tier = Tier.IMPORT_HIT if deps - remaining else Tier.INSTALL_HIT if preinstalled else Tier.MISS
+            probe = CacheLookupResult(tier, preinstalled, cold, node)
         breakdown = init_latency(probe, model)
         completion = start + breakdown.total_ms + profile.exec_duration_ms
         worker.queue.begin(start, completion)

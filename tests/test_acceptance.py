@@ -15,7 +15,6 @@ import pytest
 
 from coldsim.caches import (
     CacheLookupResult,
-    HandlerCache,
     ImportCacheTree,
     InstallCache,
     LatencyModel,
@@ -209,16 +208,11 @@ def test_criterion_05_three_tier_monotonicity():
         deps = frozenset(rnd.sample(pool, rnd.randint(1, 6)))
         profile = FunctionProfile("fn", "python", deps, 63)
 
-        handler = HandlerCache(MIB)
-        handler.insert("fn", 1)
-        hit = init_latency(classify_request(profile, handler, InstallCache(MIB)), model)
+        hit = init_latency(CacheLookupResult(Tier.HANDLER_HIT), model)
 
         full_tree = ImportCacheTree(8)
         full_tree.insert(full_tree.ROOT_ID, deps, 1)
-        full = init_latency(
-            classify_request(profile, HandlerCache(MIB), InstallCache(MIB), full_tree),
-            model,
-        )
+        full = init_latency(classify_request(profile, InstallCache(MIB), full_tree), model)
 
         subset = frozenset(rnd.sample(sorted(deps), rnd.randint(0, len(deps) - 1)))
         partial_tree = ImportCacheTree(8)
@@ -229,14 +223,12 @@ def test_criterion_05_three_tier_monotonicity():
         installed = frozenset(rnd.sample(remainder, rnd.randint(0, len(remainder))))
         for pkg in sorted(installed):
             install.insert(pkg, 1)
-        partial_probe = classify_request(profile, HandlerCache(MIB), install, partial_tree)
+        partial_probe = classify_request(profile, install, partial_tree)
         partial = init_latency(partial_probe, model)
 
-        miss_probe = classify_request(
-            profile, HandlerCache(MIB), InstallCache(MIB), ImportCacheTree(1)
-        )
+        miss_probe = classify_request(profile, InstallCache(MIB), ImportCacheTree(1))
         miss = init_latency(miss_probe, model)
-        no_tree_probe = classify_request(profile, HandlerCache(MIB), InstallCache(MIB))
+        no_tree_probe = classify_request(profile, InstallCache(MIB))
         no_tree = init_latency(no_tree_probe, model)
 
         assert hit.total_ms <= full.total_ms <= partial.total_ms <= miss.total_ms <= no_tree.total_ms
@@ -245,20 +237,14 @@ def test_criterion_05_three_tier_monotonicity():
         if partial_probe.cold:
             extra = sorted(partial_probe.cold)[0]
             install.insert(extra, 1)
-            grown = init_latency(
-                classify_request(profile, HandlerCache(MIB), install, partial_tree),
-                model,
-            )
+            grown = init_latency(classify_request(profile, install, partial_tree), model)
             assert grown.total_ms <= partial.total_ms
         # growing the import tree never hurts
         missing = sorted(deps - subset)
         if missing:
             node_id, _ = partial_tree.best_node(deps)
             partial_tree.insert(node_id, partial_tree.packages(node_id) | {missing[0]}, 2)
-            deeper = init_latency(
-                classify_request(profile, HandlerCache(MIB), install, partial_tree),
-                model,
-            )
+            deeper = init_latency(classify_request(profile, install, partial_tree), model)
             assert deeper.total_ms <= partial.total_ms
         trials += 1
     report(5, f"{trials} randomized profiles satisfy the tier ordering and augmentation monotonicity")

@@ -386,32 +386,20 @@ def test_import_tree_matches_brute_force_oracle(max_nodes, ops):
 
 
 def test_classify_all_cold_when_caches_empty():
-    result = classify_request(
-        profile(deps={"a", "b"}), HandlerCache(MB), InstallCache(MB), ImportCacheTree(4)
-    )
+    result = classify_request(profile(deps={"a", "b"}), InstallCache(MB), ImportCacheTree(4))
     assert result.tier is Tier.MISS
     assert result.cold == frozenset({"a", "b"})
-    assert result.preimported == result.preinstalled == frozenset()
+    assert result.preinstalled == frozenset()
     assert result.forked_node_id == ImportCacheTree.ROOT_ID
 
 
-def test_classify_handler_hit_short_circuits():
-    handler = HandlerCache(MB)
-    handler.insert("fn", 1)
-    result = classify_request(profile(deps={"a"}), handler, InstallCache(MB))
-    assert result.tier is Tier.HANDLER_HIT
-    assert result.preimported == result.preinstalled == result.cold == frozenset()
-
-
 def test_classify_composes_import_and_install_tiers():
-    handler = HandlerCache(MB)
     install = InstallCache(MB)
     install.insert("b", 10)
     tree = ImportCacheTree(4)
     node = tree.insert(tree.ROOT_ID, {"a"}, 1)
-    result = classify_request(profile(deps={"a", "b", "c"}), handler, install, tree)
+    result = classify_request(profile(deps={"a", "b", "c"}), install, tree)
     assert result.tier is Tier.IMPORT_HIT
-    assert result.preimported == frozenset({"a"})
     assert result.preinstalled == frozenset({"b"})
     assert result.cold == frozenset({"c"})
     assert result.forked_node_id == node
@@ -420,7 +408,7 @@ def test_classify_composes_import_and_install_tiers():
 def test_classify_install_hit_without_import_nodes():
     install = InstallCache(MB)
     install.insert("a", 10)
-    result = classify_request(profile(deps={"a", "b"}), HandlerCache(MB), install)
+    result = classify_request(profile(deps={"a", "b"}), install)
     assert result.tier is Tier.INSTALL_HIT
     assert result.forked_node_id is None
 
@@ -429,27 +417,29 @@ def test_classify_install_hit_without_import_nodes():
     st.frozensets(st.sampled_from("abcdefgh"), max_size=6),
     st.frozensets(st.sampled_from("abcdefgh"), max_size=6),
     st.lists(st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=3), max_size=6),
-    st.sampled_from(["tree", "no tree", "handler hit"]),
+    st.booleans(),
 )
-def test_classify_partitions_the_dependency_set(deps, installed, grows, case):
+def test_classify_partitions_the_dependency_set(deps, installed, grows, with_tree):
     # the probe result does not check this itself: classify_request must build it so
-    handler = HandlerCache(MB)
-    if case == "handler hit":
-        handler.insert("fn", 1)
     install = InstallCache(MB)
     for pkg in sorted(installed):
         install.insert(pkg, 1)
     tree = None
-    if case == "tree":
+    if with_tree:
         tree = ImportCacheTree(4)
         for packages in grows:  # each set goes under its best fit so far, as in a run
             node_id, missing = tree.best_node(packages)
             if missing:
                 tree.insert(node_id, packages, 1)
-    result = classify_request(profile(deps=deps), handler, install, tree)
-    sets = (result.preimported, result.preinstalled, result.cold)
-    assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
-    assert sets[0] | sets[1] | sets[2] == (frozenset() if case == "handler hit" else deps)
+    result = classify_request(profile(deps=deps), install, tree)
+    forked = frozenset() if tree is None else tree.packages(result.forked_node_id)
+    assert forked <= deps
+    assert not result.preinstalled & result.cold
+    assert result.preinstalled | result.cold == deps - forked
+    assert result.preinstalled == deps & installed - forked
+    assert (result.tier is Tier.IMPORT_HIT) == bool(forked)
+    if not forked:
+        assert result.tier is (Tier.INSTALL_HIT if result.preinstalled else Tier.MISS)
 
 
 # --- latency model -------------------------------------------------------------
@@ -475,9 +465,7 @@ def test_handler_hit_costs_one_unpause():
 
 
 def test_full_import_hit_costs_load_plus_fork():
-    result = CacheLookupResult(
-        Tier.IMPORT_HIT, preimported=frozenset({"numpy"}), forked_node_id=3
-    )
+    result = CacheLookupResult(Tier.IMPORT_HIT, forked_node_id=3)
     breakdown = init_latency(result, FIG1)
     assert breakdown.total_ms == FIG1.code_load_ms + FIG1.fork_ms == 215
 
@@ -510,13 +498,10 @@ def test_latency_model_invariants():
 def test_tier_ordering_under_preset():
     deps = frozenset({"a", "b", "c"})
     handler_hit = init_latency(CacheLookupResult(Tier.HANDLER_HIT), FIG1)
-    full_import = init_latency(
-        CacheLookupResult(Tier.IMPORT_HIT, preimported=deps, forked_node_id=1), FIG1
-    )
+    full_import = init_latency(CacheLookupResult(Tier.IMPORT_HIT, forked_node_id=1), FIG1)
     partial = init_latency(
         CacheLookupResult(
             Tier.IMPORT_HIT,
-            preimported=frozenset({"a"}),
             preinstalled=frozenset({"b"}),
             cold=frozenset({"c"}),
             forked_node_id=1,

@@ -11,7 +11,11 @@ the same catalog is pinned with a digest computed when the agglomeration kept
 its cross-cluster sums in a pair-keyed dict beside per-cluster neighbour sets.
 The files ``generate`` writes at paper scale are pinned with digests computed
 when each dependency set came from ``Generator.choice`` and each trace row
-from one f-string.
+from one f-string. The outputs of the benchmark's timed commands on those
+files (``analyze``, the 12-size ``sweep``, the round-robin ``partition`` and
+``simulate``) are pinned with digests computed when ``classify_request``
+still tested the handler itself; on a host with several usable CPUs the
+``simulate`` pin covers a sharded run.
 """
 
 import hashlib
@@ -123,4 +127,30 @@ def test_paper_scale_generate_is_byte_identical(tmp_path):
     argv = PAPER_SCALE_GENERATE + ["--out", str(tmp_path / "trace.csv"), "--profiles-out", str(tmp_path / "profiles.csv")]
     assert cli.main(argv) == 0
     for name, digest in GENERATE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# the timed commands of both paper-scale benchmark workloads, on the inputs above
+PAPER_SCALE_COMMANDS = [
+    ["analyze", "trace.csv", "--quiet", "--targets", "0.5,0.8", "--out", "skew.json"],
+    ["sweep", "trace.csv", "--quiet", "--footprint", "256MiB", "--out", "sweep.csv",
+     "--sizes", ",".join(f"{256 << i}MiB" for i in range(12))],
+    ["partition", "profiles.csv", "trace.csv", "--quiet", "--strategy", "round_robin",
+     "--groups-per-runtime", "4", "--workers", "16", "--out", "partition.json"],
+    ["simulate", "trace.csv", "profiles.csv", "partition.json", "--quiet", "--out", "result.json"],
+]
+PAPER_SCALE_DIGESTS = {
+    "skew.json": "9f05dd8f733b7e94e8816d1d231f1edfa5354bd8972e865a2c05c79790b27d12",
+    "sweep.csv": "cfe9e85ae77762956bd4bd9af94262d9df1a1082d3dc1470a90d8400d0a5bdd7",
+    "partition.json": "745e5ae998bafc52c89b8ae01a838287cdc45ed4de6ce135e250ec3737cc5ff4",
+    "result.json": "f328579e467be05681061f86b596f7a2e3aa06c9361bbc3b38af278ec43898d1",
+}
+
+
+def test_paper_scale_workload_outputs_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(PAPER_SCALE_GENERATE + ["--out", "trace.csv", "--profiles-out", "profiles.csv"]) == 0
+    for argv in PAPER_SCALE_COMMANDS:
+        assert cli.main(argv) == 0, argv[0]
+    for name, digest in PAPER_SCALE_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

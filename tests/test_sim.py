@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -578,6 +579,40 @@ def test_a_failing_shard_fails_the_run_and_leaves_no_process_and_no_output(faili
     assert proc.returncode == 1
     assert f"RuntimeError: no latency in the {failing}" in proc.stderr
     assert sorted(tmp_path.iterdir()) == sorted(inputs)
+
+
+# the warning Python 3.12 issues on a fork while threads run
+MULTI_THREADED = "This process (pid={}) is multi-threaded, use of fork() may lead to deadlocks in the child."
+
+
+def test_forking_ignores_only_the_multi_threaded_warning():
+    trace, profiles, config = busy_scenario()  # four groups with requests
+    whole = run(trace, profiles, config)  # one shard: below SHARD_MIN_ROWS
+    fork = os.fork
+
+    def fork_after(message):
+        def warn_and_fork():
+            warnings.warn(message.format(os.getpid()), DeprecationWarning, stacklevel=2)
+            return fork()
+        return warn_and_fork
+
+    with sharded(2) as forks, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forks.side_effect = fork_after(MULTI_THREADED)
+        assert run(trace, profiles, config) == whole
+        assert forks.call_count == 1
+        forks.side_effect = fork_after("some other deprecation")
+        lowest = os.pipe()  # the two lowest free descriptors, the ones the run's first pipe takes
+        for fd in lowest:
+            os.close(fd)
+        with pytest.raises(DeprecationWarning, match="some other deprecation"):
+            run(trace, profiles, config)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
+    again = os.pipe()
+    for fd in again:
+        os.close(fd)
+    assert again == lowest  # and the pipe is closed
 
 
 def test_run_without_sink_keeps_no_per_request_state():
