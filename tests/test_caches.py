@@ -437,9 +437,7 @@ def test_classify_partitions_the_dependency_set(deps, installed, grows, with_tre
     assert not result.preinstalled & result.cold
     assert result.preinstalled | result.cold == deps - forked
     assert result.preinstalled == deps & installed - forked
-    assert (result.tier is Tier.IMPORT_HIT) == bool(forked)
-    if not forked:
-        assert result.tier is (Tier.INSTALL_HIT if result.preinstalled else Tier.MISS)
+    assert result.tier is (Tier.IMPORT_HIT if forked else Tier.INSTALL_HIT if result.preinstalled else Tier.MISS)
 
 
 # --- latency model -------------------------------------------------------------
